@@ -30,11 +30,10 @@ from .flow import (
     DrivingPath,
     chordal_loewner,
     dipolar_loewner,
-    integrate_slit_flow,
     sample_driving,
     simulate_ensemble,
 )
-from .gff import RectDomain, TestFn, eigen_basis, energy_product, sample_field
+from .gff import RectDomain, TestFn, eigen_basis, energy_product
 from .observables import (
     ChargeVector,
     bpz_sc_residual,
@@ -43,7 +42,6 @@ from .observables import (
     phi_hat_one_point,
     qv_check,
     run_coupling,
-    u_process,
     vertex_correlation,
 )
 from .stats import McReport, RunningStats, drift_test

@@ -23,18 +23,9 @@ import numpy as np
 from .errors import (
     BranchObstructionError,
     DomainError,
-    InconsistentSystemError,
     ParameterRangeError,
 )
-from .fields import FieldCoeffs, eval_field, eval_field_prime, sigma_classify
-
-FAMILY_NAMES = (
-    "chordal-drift",
-    "parabolic-beta",
-    "dipolar-drift",
-    "hyperbolic-beta",
-    "radial6-drift",
-)
+from .fields import FieldCoeffs, eval_field, eval_field_prime
 
 
 @dataclass(frozen=True)
@@ -73,18 +64,6 @@ class FlowModel:
     @property
     def B(self) -> float:
         return float(self.beta) * math.sqrt(float(self.kappa))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "kappa": float(self.kappa),
-            "alpha": float(self.alpha),
-            "beta": float(self.beta),
-            "b_coeffs": [float(c) for c in self.b.coeffs],
-            "sigma_coeffs": [float(c) for c in self.sigma.coeffs],
-            "sigma_class": sigma_classify(self.sigma).tag,
-            "free_params": list(self.free_params),
-        }
 
 
 def _is_exact(x) -> bool:
@@ -411,25 +390,6 @@ def build_u(model: FlowModel, branch_tol: float = 1e-12) -> HarmonicU:
     )
 
 
-def u_from_quadrature(model: FlowModel, z: complex, z_ref: complex = 1j,
-                      n_nodes: int = 400) -> float:
-    """u(z) - u(z_ref) by direct quadrature of the defining integral."""
-    a = model.cft.a
-    bb = model.cft.bb
-    alpha = float(model.alpha)
-
-    def fprime(w):
-        return (
-            -a * (2.0 + alpha * w) / (w * eval_field(model.sigma, w))
-            + 2.0 * bb * eval_field_prime(model.sigma, w) / eval_field(model.sigma, w)
-        )
-
-    t = (np.arange(n_nodes) + 0.5) / n_nodes
-    path = z_ref + (z - z_ref) * t
-    vals = fprime(path) * (z - z_ref) / n_nodes
-    return float(np.imag(np.sum(vals)))
-
-
 def lie_b_u(model: FlowModel, u: HarmonicU, z):
     """Closed-form Lie derivative of u along b (additive order mu)."""
     b = model.b
@@ -485,16 +445,3 @@ def check_bsigma(model: FlowModel, samples: Sequence[complex]):
     res = np.abs(b - num / denom)
     return {"max": float(np.max(res)) if res.size else 0.0, "residuals": res,
             "skipped": int(np.sum(~keep))}
-
-
-def catalogue_json(kappa, alphas=(0.0,), betas=(0.0,)) -> list:
-    """Instantiate every family at the given parameter values for export."""
-    rows = []
-    for spec in enumerate_families(kappa):
-        if spec.parameter == "alpha":
-            for al in alphas:
-                rows.append(spec.instantiate(alpha=al).to_json_dict())
-        else:
-            for be in betas:
-                rows.append(spec.instantiate(beta=be).to_json_dict())
-    return rows

@@ -16,19 +16,29 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import enumerate_families, solve_system
-from .errors import ConfigError, SlitflowError
+from .classify import (
+    build_u,
+    check_annihilation,
+    check_bsigma,
+    enumerate_families,
+    solve_system,
+)
+from .errors import (
+    ConfigError,
+    DomainError,
+    ParameterRangeError,
+    SlitflowError,
+    SupportViolationError,
+)
 from .fields import FieldCoeffs, lie_green_closed
 from .flow import simulate_ensemble
 from .gff import TestFn
 from .observables import (
     bpz_sc_residual,
     cardy_zhan,
-    hadamard_check,
     martingale_suite,
     run_coupling,
 )
-from .classify import build_u, check_annihilation, check_bsigma
 
 FORMATS = ("csv", "ndjson", "json")
 
@@ -319,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="family catalogue")
     sp.add_argument("--kappa", type=float, default=4.0)
     sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--json", action="store_true", help="full catalogue JSON")
     _add_common(sp)
     sp.set_defaults(func=_cmd_classify)
 
@@ -393,21 +402,17 @@ _DEFAULT_Z = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    defaults = {
-        k: ap._subparsers._group_actions[0].choices[args.command].get_default(k)
-        for k in vars(args)
-        if k not in ("func",)
-    }
+    defaults = vars(ap.parse_args([args.command]))
+    defaults.pop("func")
     try:
         cfg = _merge_config(args, defaults)
         cfg["command"] = args.command
         if cfg.get("z") is None and args.command in _DEFAULT_Z:
             cfg["z"] = _DEFAULT_Z[args.command]
-        if args.command == "classify" and cfg.get("json"):
-            cfg["format"] = "json"
         rows, ok = args.func(cfg)
         _emit(rows, cfg, cfg.get("out"), cfg.get("format", "csv"))
-    except ConfigError as exc:
+    except (ConfigError, DomainError, ParameterRangeError,
+            SupportViolationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SlitflowError as exc:

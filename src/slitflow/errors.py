@@ -37,14 +37,6 @@ class BranchObstructionError(SlitflowError):
     """No continuous branch of the harmonic observable exists on the upper half-plane."""
 
 
-class InconsistentSystemError(SlitflowError):
-    """The coefficient linear system admits no solution; carries the residual vector."""
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
-
-
 class NeutralityError(SlitflowError):
     """Charge vector violates the zero-total-charge requirement."""
 
@@ -63,10 +55,6 @@ class ReversalInstabilityError(SlitflowError):
 
 class SupportViolationError(SlitflowError):
     """Test function support is not contained in the required domain."""
-
-
-class InversionError(SlitflowError):
-    """Newton inversion of a conformal map failed to converge."""
 
 
 class ConfigError(SlitflowError):

@@ -14,9 +14,7 @@ pushes fields forward under Moebius automorphisms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -323,8 +321,3 @@ def ell_field(n: int):
         return -(n + 1) * z ** n if n != -1 else 0.0 * z
 
     return val, prime
-
-
-def exact_b_from_fractions(bm1: Fraction, b0: Fraction, b1: Fraction) -> FieldCoeffs:
-    """Build a b-field keeping Fraction coefficients for exact round-trips."""
-    return FieldCoeffs("b", bm1, b0, b1)

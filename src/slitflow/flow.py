@@ -1,30 +1,29 @@
 """Time-discretized simulation of slit flows.
 
-Driving processes, the Euler-Maruyama integrator for the general flow SDE
-(with derivative tracking through log w'), adaptive RK4 solvers for the
-noise-free chordal and strip Loewner equations, trace approximation by
-backward integration, and hull scans.
+Driving processes, one adaptive RK4 driver for the noise-free chordal and
+strip Loewner equations, the backward (inverse-map) flow, and the
+vectorized Euler-Maruyama ensemble for the general flow SDE (with
+derivative tracking through log w').
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
+from .conformal import require_upper_half_plane
 from .errors import (
     DomainError,
     ParameterRangeError,
     ReversalInstabilityError,
     StepExplosionError,
 )
-from .fields import FieldCoeffs, eval_field, eval_field_prime
+from .fields import eval_field, eval_field_prime
 
 EPS_SWALLOW = 1e-4
 R_MAX = 1e6
-EPS_TRACE = 1e-3
 C_SING = 0.1  # dt_eff = min(dt, C_SING * |distance to singularity|^2)
 
 
@@ -36,9 +35,7 @@ class DrivingPath:
     alpha: float
     dt: float
     times: np.ndarray
-    increments: np.ndarray  # Brownian increments, variance dt each
     values: np.ndarray
-    seed: Optional[int]
 
     @property
     def horizon(self) -> float:
@@ -56,23 +53,22 @@ def sample_driving(kappa: float, alpha: float, T: float, dt: float,
         raise ParameterRangeError("need 0 < dt <= T")
     n = int(round(T / dt))
     times = dt * np.arange(n + 1)
-    if isinstance(seed, np.random.Generator):
-        rng, seed_label = seed, None
-    else:
-        rng, seed_label = np.random.default_rng(np.random.SeedSequence(seed)), seed
+    rng = seed
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
     db = rng.standard_normal(n) * math.sqrt(dt)
     values = np.empty(n + 1)
     values[0] = 0.0
     np.cumsum(math.sqrt(kappa) * db, out=values[1:])
     values[1:] += alpha * times[1:]
-    return DrivingPath(kappa, alpha, dt, times, db, values, seed_label)
+    return DrivingPath(kappa, alpha, dt, times, values)
 
 
 def zero_driving(kappa: float, alpha: float, T: float, dt: float) -> DrivingPath:
     """Noise-free driving (xi_t = alpha t), for deterministic checks."""
     n = int(round(T / dt))
     times = dt * np.arange(n + 1)
-    return DrivingPath(kappa, alpha, dt, times, np.zeros(n), alpha * times, None)
+    return DrivingPath(kappa, alpha, dt, times, alpha * times)
 
 
 @dataclass
@@ -84,69 +80,9 @@ class FlowPath:
     w: np.ndarray
     log_wp: np.ndarray
     swallow_time: float
-    scheme: str
-
-    @property
-    def alive(self) -> bool:
-        return not np.isfinite(self.swallow_time)
 
     def last_alive_index(self) -> int:
         return int(np.sum(np.isfinite(self.w.real))) - 1
-
-
-def _swallowed(w: complex) -> bool:
-    return w.imag <= 0.0 or abs(w) < EPS_SWALLOW
-
-
-def integrate_slit_flow(model, z0: complex, driving: DrivingPath) -> FlowPath:
-    """Euler-Maruyama for the Ito form of the flow SDE, tracking log w'.
-
-    The drift of w is -b(w) + (kappa/2) (sigma sigma')(w); log w' carries
-    drift -b'(w) + (kappa/2)(sigma sigma'')(w) and noise coefficient
-    sqrt(kappa) sigma'(w); both share the Brownian increments of the driving
-    path.  Steps near the pole of b
-    are subdivided (splitting the increment) per the dt_eff rule.
-    """
-    z0 = complex(z0)
-    if z0.imag <= 0:
-        raise DomainError(f"seed point must be in the upper half-plane: {z0}")
-    b, sig = model.b, model.sigma
-    kappa = float(model.kappa)
-    sqk = math.sqrt(kappa)
-    n = len(driving.increments)
-    w_arr = np.full(n + 1, np.nan + 0j)
-    lp_arr = np.full(n + 1, np.nan + 0j)
-    w = z0
-    lp = 0.0 + 0.0j
-    w_arr[0] = w
-    lp_arr[0] = lp
-    swallow = math.inf
-    for i in range(n):
-        dt = driving.dt
-        db = driving.increments[i]
-        nsub = max(1, min(64, int(math.ceil(dt / max(C_SING * abs(w) ** 2, 1e-12)))))
-        hdt = dt / nsub
-        hdb = db / nsub
-        dead = False
-        for _ in range(nsub):
-            s = eval_field(sig, w)
-            sp = eval_field_prime(sig, w)
-            ss = sig.second(w)
-            drift_w = -eval_field(b, w) + 0.5 * kappa * s * sp
-            drift_lp = -eval_field_prime(b, w) + 0.5 * kappa * s * ss
-            w = w + drift_w * hdt + sqk * s * hdb
-            lp = lp + drift_lp * hdt + sqk * sp * hdb
-            if _swallowed(w):
-                dead = True
-                break
-            if abs(w) > R_MAX:
-                raise StepExplosionError(f"flow left the guard radius at t={driving.times[i + 1]}")
-        if dead:
-            swallow = float(driving.times[i + 1])
-            break
-        w_arr[i + 1] = w
-        lp_arr[i + 1] = lp
-    return FlowPath(z0, driving.times, w_arr, lp_arr, swallow, "euler-maruyama")
 
 
 def _rk4_segment(f, y, t0, t1, sing_dist):
@@ -171,16 +107,16 @@ def _rk4_segment(f, y, t0, t1, sing_dist):
     return y, True
 
 
-def chordal_loewner(driving: DrivingPath, z0: complex,
-                    track_deriv: bool = True) -> FlowPath:
-    """Solve the chordal Loewner ODE dg/dt = 2/(g - xi_t) at a single point.
+def _loewner(driving: DrivingPath, z0: complex, field, im_max: float) -> FlowPath:
+    """Solve dg/dt = v(g - xi_t) at a single point of {0 < Im z < im_max}.
 
-    The driving path is linearly interpolated between grid points; output
-    samples w_t = g_t - xi_t and log g'_t on the grid.
+    field(Z) returns (v(Z), v'(Z)); the state (g, log g') is advanced by
+    adaptive RK4 with the driving path linearly interpolated between grid
+    points.  Samples of Z_t = g_t - xi_t and log g'_t are returned on the grid.
     """
     z0 = complex(z0)
-    if z0.imag <= 0:
-        raise DomainError(f"seed point must be in the upper half-plane: {z0}")
+    if not 0.0 < z0.imag < im_max:
+        raise DomainError(f"seed point must satisfy 0 < Im z < {im_max}: {z0}")
     times, xi = driving.times, driving.values
     n = len(times) - 1
     w_arr = np.full(n + 1, np.nan + 0j)
@@ -197,8 +133,7 @@ def chordal_loewner(driving: DrivingPath, z0: complex,
 
     for i in range(n):
         def rhs(t, y, i=i):
-            z = y[0] - xi_lin(t, i)
-            return np.array([2.0 / z, -2.0 / (z * z)], dtype=complex)
+            return np.array(field(y[0] - xi_lin(t, i)), dtype=complex)
 
         def dist(y, i=i):
             # worst-case distance to xi over the segment is what matters;
@@ -206,80 +141,48 @@ def chordal_loewner(driving: DrivingPath, z0: complex,
             return abs(y[0] - xi[i])
 
         y, ok = _rk4_segment(rhs, y, times[i], times[i + 1], dist)
-        if not ok or abs(y[0] - xi[i + 1]) < EPS_SWALLOW:
+        w = y[0] - xi[i + 1]
+        if not ok or abs(w) < EPS_SWALLOW:
             swallow = float(times[i + 1])
             break
-        w_arr[i + 1] = y[0] - xi[i + 1]
-        lp_arr[i + 1] = y[1] if track_deriv else 0.0
-    return FlowPath(z0, times, w_arr, lp_arr, swallow, "chordal-rk4")
+        if not 0.0 <= y[0].imag <= im_max + 1e-9:
+            raise StepExplosionError("Loewner solution left its domain")
+        w_arr[i + 1] = w
+        lp_arr[i + 1] = y[1]
+    return FlowPath(z0, times, w_arr, lp_arr, swallow)
+
+
+def _chordal_field(z):
+    return 2.0 / z, -2.0 / (z * z)
+
+
+def chordal_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
+    """Solve the chordal Loewner ODE dg/dt = 2/(g - xi_t) at a point of the
+    upper half-plane; samples w_t = g_t - xi_t and log g'_t on the grid."""
+    return _loewner(driving, z0, _chordal_field, math.inf)
 
 
 def coth_half(z: complex) -> complex:
-    """coth(z/2) in a form stable for large |Re z|."""
+    """coth(z/2) in a form stable for large |Re z| and for tiny |z|."""
     x, y = z.real, z.imag
     if abs(x) > 40.0:
         return complex(math.copysign(1.0, x), 0.0)
-    den = math.cosh(x) - math.cos(y)
+    # cancellation-free form of cosh(x) - cos(y); the naive difference
+    # rounds to exactly zero once |z| drops below ~1e-8
+    den = 2.0 * (math.sinh(0.5 * x) ** 2 + math.sin(0.5 * y) ** 2)
     return complex(math.sinh(x) / den, -math.sin(y) / den)
 
 
-def coth_half_grid(z) -> np.ndarray:
-    """Vectorized coth(z/2); inputs with |Re z| > 40 map to sign(Re z)."""
-    z = np.asarray(z, dtype=complex)
-    x = np.clip(z.real, -40.0, 40.0)
-    # cancellation-free form of cosh(x) - cos(y); the naive difference
-    # rounds to exactly zero once |z| drops below ~1e-8
-    den = 2.0 * (np.sinh(0.5 * x) ** 2 + np.sin(0.5 * z.imag) ** 2)
-    out = (np.sinh(x) - 1j * np.sin(z.imag)) / den
-    far = np.abs(z.real) > 40.0
-    if np.any(far):
-        out = np.where(far, np.sign(z.real) + 0.0j, out)
-    return out
+def _dipolar_field(z):
+    c = coth_half(z)
+    # d/dZ coth(Z/2) = -1/(2 sinh^2(Z/2)) = (1 - coth^2(Z/2))/2
+    return c, 0.5 * (1.0 - c * c)
 
 
-def dipolar_loewner(driving: DrivingPath, z0: complex,
-                    track_deriv: bool = True) -> FlowPath:
-    """Solve the strip Loewner ODE dg/dt = coth((g - xi_t)/2) at a point.
-
-    z0 lies in the strip {0 < Im z < pi}; samples of Z_t = g_t - xi_t and
-    log g'_t are returned on the grid.
-    """
-    z0 = complex(z0)
-    if not (0.0 < z0.imag < math.pi):
-        raise DomainError(f"seed point must be in the open strip: {z0}")
-    times, xi = driving.times, driving.values
-    n = len(times) - 1
-    z_arr = np.full(n + 1, np.nan + 0j)
-    lp_arr = np.full(n + 1, np.nan + 0j)
-    z_arr[0] = z0
-    lp_arr[0] = 0.0
-    y = np.array([z0, 0.0], dtype=complex)
-    swallow = math.inf
-
-    def xi_lin(t, i):
-        fr = (t - times[i]) / driving.dt
-        return (1.0 - fr) * xi[i] + fr * xi[i + 1]
-
-    for i in range(n):
-        def rhs(t, y, i=i):
-            Z = y[0] - xi_lin(t, i)
-            c = coth_half(Z)
-            # d/dZ coth(Z/2) = -1/(2 sinh^2(Z/2)) = (1 - coth^2(Z/2))/2
-            return np.array([c, 0.5 * (1.0 - c * c)], dtype=complex)
-
-        def dist(y, i=i):
-            return abs(y[0] - xi[i])
-
-        y, ok = _rk4_segment(rhs, y, times[i], times[i + 1], dist)
-        Z = y[0] - xi[i + 1]
-        if not ok or abs(Z) < EPS_SWALLOW:
-            swallow = float(times[i + 1])
-            break
-        if not (0.0 <= (y[0]).imag <= math.pi + 1e-9):
-            raise StepExplosionError("strip Loewner solution left the strip")
-        z_arr[i + 1] = Z
-        lp_arr[i + 1] = y[1] if track_deriv else 0.0
-    return FlowPath(z0, times, z_arr, lp_arr, swallow, "dipolar-rk4")
+def dipolar_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
+    """Solve the strip Loewner ODE dg/dt = coth((g - xi_t)/2) at a point of
+    the strip {0 < Im z < pi}; samples Z_t = g_t - xi_t and log g'_t."""
+    return _loewner(driving, z0, _dipolar_field, math.pi)
 
 
 def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:
@@ -318,47 +221,6 @@ def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:
     return z
 
 
-def trace_points(driving: DrivingPath, ts: Sequence[float],
-                 eps: float = EPS_TRACE) -> np.ndarray:
-    """Approximate trace points gamma_t = g_t^{-1}(xi_t + i eps)."""
-    times, xi = driving.times, driving.values
-    return np.array([
-        inverse_map(driving, complex(float(np.interp(t, times, xi)), eps), t)
-        for t in ts
-    ])
-
-
-@dataclass
-class HullSample:
-    """Swallow flags for a grid of seed points at a fixed horizon."""
-
-    points: np.ndarray
-    swallowed: np.ndarray
-    horizon: float
-
-
-def hull_scan(driving: DrivingPath, points: Sequence[complex], T: float,
-              geometry: str = "chordal") -> HullSample:
-    """Flag which seed points are swallowed by time T under the driving path."""
-    if T < 0 or T > driving.horizon + 1e-12:
-        raise ParameterRangeError("horizon outside the driving path")
-    n_keep = int(round(T / driving.dt))
-    sub = DrivingPath(
-        driving.kappa, driving.alpha, driving.dt,
-        driving.times[: n_keep + 1], driving.increments[:n_keep],
-        driving.values[: n_keep + 1], driving.seed,
-    )
-    pts = np.asarray(points, dtype=complex)
-    flags = np.zeros(pts.shape, dtype=bool)
-    solver = chordal_loewner if geometry == "chordal" else dipolar_loewner
-    if T == 0:
-        return HullSample(pts, flags, 0.0)
-    for idx, z in np.ndenumerate(pts):
-        path = solver(sub, z, track_deriv=False)
-        flags[idx] = np.isfinite(path.swallow_time)
-    return HullSample(pts, flags, float(T))
-
-
 @dataclass
 class EnsembleResult:
     """Terminal state of a vectorized flow ensemble, frozen at swallowing."""
@@ -379,7 +241,8 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     point) entry freezes once it comes within the resolvable distance of the
     pole at the origin or leaves the upper half-plane; freezing at a state-
     dependent time keeps stopped functionals unbiased.  ``callback(i, t, w,
-    log_wp, alive)`` runs after every step when given.
+    log_wp, alive)`` runs after every step when given.  Seed points must lie
+    in the open upper half-plane (DomainError otherwise).
     """
     if T <= 0 or dt <= 0 or dt > T:
         raise ParameterRangeError("need 0 < dt <= T")
@@ -390,6 +253,7 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     kappa = float(model.kappa)
     sqk = math.sqrt(kappa)
     pts = np.asarray(points, dtype=complex).ravel()
+    require_upper_half_plane(pts)
     w = np.broadcast_to(pts, (n_paths, pts.size)).copy()
     log_wp = np.zeros_like(w)
     alive = np.ones(w.shape, dtype=bool)

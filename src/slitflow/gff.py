@@ -5,15 +5,13 @@ The field is represented in the Dirichlet sine eigenbasis with covariance
 log-normalized Green's function (-Delta G = 2 pi delta).  The module also
 provides tensor-quadrature Dirichlet energies against pluggable Green
 evaluators (half-plane, rectangle via an exponentially convergent Fourier
-image sum, and pullbacks along simulated flow maps) and the coupled-sample
-experiment for the flow/field coupling law.
+image sum, and pullbacks along simulated flow maps).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,8 +163,6 @@ class EigenBasis:
             self.mask, np.sqrt(4.0 * math.pi / self.lam_box), 0.0
         )
         self.norm = 2.0 / math.sqrt(W * H)
-        order = np.argsort(self.lam_box[self.mask], kind="stable")
-        self.lam_sorted = self.lam_box[self.mask][order]
         # sine tables on the mesh for separable quadratures
         xs, ys = dom.cell_centers()
         self._sx = np.sin(
@@ -175,10 +171,6 @@ class EigenBasis:
         self._sy = np.sin(
             math.pi / H * np.outer(np.arange(1, self.n_max + 1), ys - dom.y0)
         )
-
-    @property
-    def k_active(self) -> int:
-        return int(np.sum(self.mask))
 
     def sin_tables(self, pts):
         """sin matrices (..., m_max) and (..., n_max) at arbitrary points."""
@@ -216,44 +208,6 @@ def eigen_basis(dom: RectDomain) -> EigenBasis:
     return EigenBasis(dom)
 
 
-@dataclass
-class GffSample:
-    """One field draw: mode coefficients c_k = xi_k sqrt(4 pi / lambda_k)."""
-
-    basis: EigenBasis
-    coeff_box: np.ndarray
-    seed: Optional[int] = None
-
-
-def sample_field(basis: EigenBasis, rng, seed: Optional[int] = None) -> GffSample:
-    if not isinstance(rng, np.random.Generator):
-        seed = rng
-        rng = np.random.default_rng(np.random.SeedSequence(rng))
-    xi = rng.standard_normal(basis.scale_box.shape)
-    return GffSample(basis, xi * basis.scale_box, seed)
-
-
-def pair(sample: GffSample, patch: SupportPatch) -> float:
-    """(Phi, p) by mesh quadrature in the mode representation."""
-    box = sample.basis.testfn_coeff_box(patch)
-    return float(np.sum(sample.coeff_box * box))
-
-
-def pair_shifted(sample: GffSample, patch: SupportPatch, u: Callable) -> float:
-    """((Phi + u), p) for a deterministic shift u evaluated at cell centers."""
-    return pair(sample, patch) + float(np.sum(u(patch.centers) * patch.weights))
-
-
-def pullback_pair(sample: GffSample, w_at: np.ndarray, patch: SupportPatch) -> float:
-    """(Phi o w, p) by change of variables onto the original support mesh.
-
-    w_at holds the map values at the support cell centers; points mapped
-    outside the rectangle contribute zero (zero-padded extension).
-    """
-    vals = sample.basis.field_at_points(sample.coeff_box, np.asarray(w_at))
-    return float(np.sum(vals * patch.weights))
-
-
 # -- Green evaluators and energies -------------------------------------------
 
 
@@ -276,7 +230,8 @@ class RectGreenEval:
     G = sum over image separations d of
         -1/2 log(1 - 2 q cos(pi dx/W) + q^2) + 1/2 log(1 - 2 q cos(pi sx/W) + q^2)
     with q = exp(-pi d / W); exponentially convergent and independent of the
-    eigenbasis truncation, so it can cross-check the spectral energy.
+    eigenbasis truncation, so it can cross-check the spectral energy.  No
+    command uses it: it is the reference the spectral-energy test compares to.
     """
 
     def __init__(self, dom: RectDomain, n_images: int = 8):

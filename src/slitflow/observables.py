@@ -1,32 +1,32 @@
 """Verifiable stochastic identities built on the flow integrators.
 
-Observable processes u_t and the two-point martingale, drift tests for
-vertex observables along chordal and dipolar flows, the quadratic-variation
-law for paired test functions, vertex correlation functions with neutral
-charge vectors, hypergeometric-map residual identities, the triangle
-hitting-probability experiment, and the flow/field coupling ensemble.
+Drift tests of u_t, the two-point martingale and the vertex observables
+along chordal and dipolar flows, the quadratic-variation law for paired
+test functions, vertex correlation functions with neutral charge vectors,
+hypergeometric-map residual identities, the triangle hitting-probability
+experiment, and the flow/field coupling ensemble.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .classify import CftParams, FlowModel, HarmonicU, build_u, enumerate_families
+from .classify import CftParams, FlowModel, build_u, enumerate_families
 from .conformal import ScMap, green_half_plane_grid, sc_map_build
 from .errors import (
     BranchPointError,
-    CoincidentPointsError,
+    DomainError,
     NeutralityError,
+    OutsideTriangleError,
     ParameterRangeError,
 )
-from .flow import EPS_SWALLOW, FlowPath, coth_half_grid, simulate_ensemble
+from .flow import EPS_SWALLOW, simulate_ensemble
 from .gff import (
     RectDomain,
-    SupportPatch,
     TestFn,
     eigen_basis,
     energy_from_map,
@@ -37,45 +37,6 @@ from .stats import McReport, drift_test, ks_normality
 NEUTRALITY_TOL = 1e-12
 ESCAPE_RE = 20.0
 T_MAX_DEFAULT = 30.0
-
-
-# -- observable processes along scalar flow paths -----------------------------
-
-
-@dataclass
-class UProcess:
-    """Samples of u_t(z) = u(w_t(z)) - 2b * arg w'_t(z) along one flow path.
-
-    The rotation term uses the continuously tracked Im log w' from the flow,
-    never a re-wrapped principal argument.  The series is truncated at the
-    swallow time.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    z0: complex
-    swallow_time: float
-
-
-def u_process(flow: FlowPath, u: HarmonicU) -> UProcess:
-    n = flow.last_alive_index()
-    w = flow.w[: n + 1]
-    vals = u.value(w) + u.mu * np.imag(flow.log_wp[: n + 1])
-    return UProcess(flow.times[: n + 1], vals, flow.z0, flow.swallow_time)
-
-
-def pair_martingale(flow1: FlowPath, flow2: FlowPath, u: HarmonicU) -> UProcess:
-    """M_t = u_t(z1) u_t(z2) + 2 G(w_t(z1), w_t(z2)) on the common alive window."""
-    if flow1.z0 == flow2.z0:
-        raise CoincidentPointsError("pair martingale needs distinct base points")
-    n = min(flow1.last_alive_index(), flow2.last_alive_index())
-    u1 = u.value(flow1.w[: n + 1]) + u.mu * np.imag(flow1.log_wp[: n + 1])
-    u2 = u.value(flow2.w[: n + 1]) + u.mu * np.imag(flow2.log_wp[: n + 1])
-    g = green_half_plane_grid(flow1.w[: n + 1], flow2.w[: n + 1])
-    return UProcess(
-        flow1.times[: n + 1], u1 * u2 + 2.0 * g, flow1.z0,
-        min(flow1.swallow_time, flow2.swallow_time),
-    )
 
 
 # -- deterministic one-point functions ----------------------------------------
@@ -89,6 +50,9 @@ def phi_hat_one_point(kind: str, kappa: float, alpha: float, z,
     kind 'dipolar': marked points at -1, +1 with delta = alpha a.
     kind 'marked': marked points at -q, +q with delta = (alpha a / 2) q;
     converges pointwise to the chordal value as q -> infinity.
+
+    No command reads it: it is the paper's closed-form one-point function,
+    kept with the tests that check its chordal limit and reflection symmetry.
     """
     z = complex(z)
     cft = CftParams(kappa)
@@ -181,7 +145,8 @@ def vertex_correlation(charges: ChargeVector, kappa: float, z: complex,
     """Product-formula correlation value in the identity chart of the half-plane.
 
     All chart derivative factors are 1 for the identity chart; powers use
-    principal branches.
+    principal branches.  No command reads it (nor ChargeVector): it is the
+    paper's vertex correlation formula, kept with its symmetry tests.
     """
     z = complex(z)
     if variant not in ("plain", "inserted"):
@@ -364,62 +329,6 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
     )
 
 
-# -- pathwise Green decay checks ------------------------------------------------
-
-
-def hadamard_check(n_paths: int = 5000, T: float = 0.3, dt: float = 1e-4,
-                   seed: int = 0, z1: complex = 1j, z2: complex = 1 + 2j,
-                   kappa: float = 4.0) -> dict:
-    """Pathwise and ensemble forms of the Green-decay/covariation identity.
-
-    Along the zero-drift chordal flow, G(w_t(z1), w_t(z2)) decays at the
-    deterministic rate -4 Im(1/w1) Im(1/w2); the realized covariation of
-    (u_t(z1), u_t(z2)) matches -2 times the same integral.
-    """
-    model = _family_model("chordal", kappa, 0.0)
-    two_a = 2.0 * CftParams(kappa).a
-    pts = np.array([z1, z2])
-    acc = {
-        "integral": np.zeros(n_paths),
-        "cov": np.zeros(n_paths),
-        "prev_rate": None,
-        "prev_u": None,
-    }
-
-    def rate(w):
-        return -4.0 * np.imag(1.0 / w[:, 0]) * np.imag(1.0 / w[:, 1])
-
-    def callback(i, t, w, log_wp, alive):
-        r = rate(w)
-        uu = two_a * np.angle(w)
-        if acc["prev_rate"] is not None:
-            # frozen pairs stop moving, so their integral must stop too
-            live = np.all(alive, axis=1)
-            acc["integral"] += np.where(live, 0.5 * (r + acc["prev_rate"]) * dt, 0.0)
-            du = uu - acc["prev_u"]
-            acc["cov"] += du[:, 0] * du[:, 1]
-        acc["prev_rate"] = r
-        acc["prev_u"] = uu
-
-    res = simulate_ensemble(model, pts, n_paths, T, dt, seed, callback)
-    g_T = green_half_plane_grid(res.w[:, 0], res.w[:, 1])
-    g_0 = green_half_plane_grid(z1, z2)
-    pathwise_err = np.abs((g_T - g_0) - acc["integral"])
-    # the identity is exact only while the pair stays inside the flow's
-    # domain; paths frozen near the singularity are reported separately
-    unfrozen = np.all(res.alive, axis=1)
-    cov_mean = float(acc["cov"].mean())
-    cov_target = float((-2.0 * acc["integral"]).mean())
-    return {
-        "pathwise_max_err": float(pathwise_err[unfrozen].max()),
-        "frozen": int(np.count_nonzero(~unfrozen)),
-        "cov_mean": cov_mean,
-        "cov_target": cov_target,
-        "cov_rel_err": abs(cov_mean - cov_target) / abs(cov_target),
-        "n": n_paths,
-    }
-
-
 # -- hitting-probability experiment ---------------------------------------------
 
 
@@ -531,7 +440,7 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
         # toward the ambiguity diagnostic
         try:
             bary = sm.exit_probabilities(complex(zv))
-        except Exception:
+        except (DomainError, OutsideTriangleError):
             ambiguous += 1
             continue
         for key, p in zip(("swallow", "right", "left"), bary):
@@ -569,10 +478,8 @@ def bpz_sc_residual(kappa: float, alpha: float, z: complex,
             -f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)
         ) / (12 * h)
 
-    hp = sm.h_prime(z)
-    ratio = fd_deriv(sm.h_prime, z) / hp
-    closed = sm.exp_one / (z - 1.0) + sm.exp_zero / z
-    res_map = abs(ratio - closed)
+    ratio = fd_deriv(sm.h_prime, z) / sm.h_prime(z)
+    res_map = abs(ratio - sm.h_prime_log_deriv(z))
 
     def mhat_log(x):
         return dipolar_vertex_log(kappa, alpha, 2.0 * x, 0.0)

@@ -116,13 +116,3 @@ def ks_normality(samples, mean: float, std: float):
     stat = float(sps.kstest(xs, "norm").statistic)
     crit = float(sps.kstwobign.ppf(0.99)) / math.sqrt(xs.size)
     return stat, crit
-
-
-def spawn_seeds(master_seed: int, n: int):
-    """Independent per-task generators derived from a master seed.
-
-    Task k always receives the same stream regardless of scheduling, which
-    keeps ensemble output identical across thread counts.
-    """
-    ss = np.random.SeedSequence(master_seed)
-    return [np.random.default_rng(s) for s in ss.spawn(n)]

@@ -50,9 +50,21 @@ def test_stochastic_command_requires_seed():
     assert "seed" in proc.stderr
 
 
-def test_bad_flag_value_exits_two():
+def test_bad_flag_value_exits_two(capsys):
     proc = _run(["simulate", "--seed", "1", "--T", "-0.5"])
     assert proc.returncode == 2
+    # out-of-range values caught by the library, not the CLI, are usage
+    # errors too; in-process calls avoid an interpreter start-up per case
+    for argv in (
+        ["simulate", "--seed", "1", "--dt", "1", "--T", "0.1"],
+        ["simulate", "--seed", "1", "--z=-1i"],
+        ["cardy-zhan", "--seed", "1", "--kappa", "4"],
+        ["cardy-zhan", "--seed", "1", "--alpha", "1.5"],
+        ["classify", "--kappa", "-1"],
+        ["gff-couple", "--seed", "1", "--center", "0.1i"],
+    ):
+        assert main(argv) == 2, argv
+        assert "config error" in capsys.readouterr().err
 
 
 def test_bad_complex_exits_two():

@@ -13,7 +13,6 @@ from slitflow.stats import (
     RunningStats,
     drift_test,
     ks_normality,
-    spawn_seeds,
 )
 
 
@@ -107,11 +106,3 @@ def test_ks_normality_accepts_gaussian_rejects_uniform():
     us = rng.uniform(-1, 1, 5000)
     stat_u, crit_u = ks_normality(us, 0.0, math.sqrt(1.0 / 3.0))
     assert stat_u > crit_u
-
-
-def test_spawn_seeds_deterministic_and_independent():
-    a = [g.standard_normal(4) for g in spawn_seeds(7, 3)]
-    b = [g.standard_normal(4) for g in spawn_seeds(7, 3)]
-    for xa, xb in zip(a, b):
-        assert np.array_equal(xa, xb)
-    assert not np.array_equal(a[0], a[1])
