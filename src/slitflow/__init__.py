@@ -44,6 +44,6 @@ from .observables import (
     run_coupling,
     vertex_correlation,
 )
-from .stats import McReport, RunningStats, drift_test
+from .stats import McReport, drift_test
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,7 +33,6 @@ class CftParams:
     """Central-charge bookkeeping for a given kappa."""
 
     kappa: float
-    delta: float = 0.0
     a: float = field(init=False)
     bb: float = field(init=False)
     c: float = field(init=False)
@@ -59,7 +58,6 @@ class FlowModel:
     sigma: FieldCoeffs
     family: str
     cft: CftParams
-    free_params: tuple = ()
 
     @property
     def B(self) -> float:
@@ -142,17 +140,13 @@ class SolveResult:
     residuals: tuple
 
 
-def solve_system(kappa, sigma0, sigma1, alpha, beta=None, *, B=None) -> SolveResult:
-    """Solve for the b coefficients given (kappa, sigma, alpha, beta).
+def solve_system(kappa, sigma0, sigma1, alpha, *, B) -> SolveResult:
+    """Solve for the b coefficients given (kappa, sigma, alpha, B).
 
-    B = beta*sqrt(kappa) may be passed directly (as a Fraction for exact
+    B = beta*sqrt(kappa) (a Fraction, with rational other inputs, for exact
     arithmetic).  Free coefficients at degenerate kappa are reported and set
     to zero in the returned particular solution.
     """
-    if B is None:
-        if beta is None:
-            raise ParameterRangeError("provide beta or B")
-        B = float(beta) * math.sqrt(float(kappa))
     exact = all(_is_exact(v) for v in (kappa, sigma0, sigma1, alpha, B))
     if exact:
         kappa, sigma0, sigma1, alpha, B = (
@@ -223,10 +217,8 @@ class FamilySpec:
             )
         raise ParameterRangeError(f"unknown family {self.name!r}")
 
-    def instantiate(self, alpha=0.0, beta=None, B=None) -> FlowModel:
+    def instantiate(self, alpha=0.0, B=None) -> FlowModel:
         k = float(self.kappa)
-        if B is None and beta is not None:
-            B = float(beta) * math.sqrt(k)
         if self.parameter == "alpha":
             b, al, Bc = self.coefficients(alpha=alpha)
         else:
@@ -240,7 +232,6 @@ class FamilySpec:
             sigma=self.sigma,
             family=self.name,
             cft=CftParams(k),
-            free_params=self.degenerate_notes,
         )
 
 
@@ -304,7 +295,6 @@ class HarmonicU:
     lin_coef: float = 0.0
     const: float = 0.0
     mu: float = 0.0
-    tag: str = "custom"
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
@@ -340,7 +330,7 @@ def _sigma_roots(sigma: FieldCoeffs):
     return [(-s0 + r) / (2.0 * s1), (-s0 - r) / (2.0 * s1)]
 
 
-def build_u(model: FlowModel, branch_tol: float = 1e-12) -> HarmonicU:
+def build_u(model: FlowModel) -> HarmonicU:
     """The harmonic observable of a coupled flow, by partial fractions.
 
     The holomorphic completion has derivative
@@ -373,7 +363,7 @@ def build_u(model: FlowModel, branch_tol: float = 1e-12) -> HarmonicU:
         elif abs(rho.imag) <= 1e-12:
             rho = complex(rho.real, 0.0)
             c = complex(c.real, c.imag if abs(c.imag) > 1e-12 else 0.0)
-        if abs(c) > branch_tol:
+        if abs(c) > 1e-12:
             terms.append((rho, c))
     # arg conventions of the closed forms: a term written as arg(x0 - z) for a
     # positive real root x0 equals arg(z - x0) - pi on the upper half-plane
@@ -386,7 +376,6 @@ def build_u(model: FlowModel, branch_tol: float = 1e-12) -> HarmonicU:
         lin_coef=lin,
         const=const,
         mu=-2.0 * bb,
-        tag=model.family,
     )
 
 
@@ -395,14 +384,6 @@ def lie_b_u(model: FlowModel, u: HarmonicU, z):
     b = model.b
     return np.imag(
         eval_field(b, z) * u.holo_prime(z) + u.mu * eval_field_prime(b, z)
-    )
-
-
-def lie_sigma_u(model: FlowModel, u: HarmonicU, z):
-    """Closed-form Lie derivative of u along sigma."""
-    s = model.sigma
-    return np.imag(
-        eval_field(s, z) * u.holo_prime(z) + u.mu * eval_field_prime(s, z)
     )
 
 

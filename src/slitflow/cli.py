@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -34,6 +33,7 @@ from .fields import FieldCoeffs, lie_green_closed
 from .flow import simulate_ensemble
 from .gff import TestFn
 from .observables import (
+    _family_model,
     bpz_sc_residual,
     cardy_zhan,
     martingale_suite,
@@ -162,6 +162,7 @@ def _cmd_classify(cfg):
 
 def _cmd_check_identities(cfg):
     seed = _require_seed(cfg)
+    _positive(cfg, "n_pairs")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     kappa = float(cfg["kappa"])
     rows = []
@@ -203,20 +204,11 @@ def _cmd_check_identities(cfg):
     return rows, all(r["passed"] for r in rows)
 
 
-def _find_family(kappa, geometry):
-    name = {"chordal": "chordal-drift", "dipolar": "dipolar-drift"}[geometry]
-    for spec in enumerate_families(kappa):
-        if spec.name == name:
-            return spec
-    raise ConfigError(f"no family {name} at kappa={kappa}")
-
-
 def _cmd_simulate(cfg):
     seed = _require_seed(cfg)
     _positive(cfg, "T", "dt", "n_paths")
-    model = _find_family(float(cfg["kappa"]), cfg["geometry"]).instantiate(
-        alpha=float(cfg["alpha"])
-    )
+    model = _family_model(cfg["geometry"], float(cfg["kappa"]),
+                          float(cfg["alpha"]))
     pts = [_parse_complex(s) for s in cfg["z"]]
     res = simulate_ensemble(
         model, pts, int(cfg["n_paths"]), float(cfg["T"]), float(cfg["dt"]),
@@ -316,8 +308,7 @@ def _cmd_sc_residual(cfg):
 def _add_common(sp):
     sp.add_argument("--config", default=None, help="JSON config file")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("SLITFLOW_THREADS", "1")))
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=FORMATS, default="csv")
 

@@ -5,11 +5,10 @@ The two field shapes are
     b(z) = -(2/z + b_{-1} + b_0 z + b_1 z^2),
     sigma(z) = -(1 + sigma_0 z + sigma_1 z^2),
 
-with real coefficients.  This module evaluates them, converts the
-Stratonovich noise term to Ito form, computes Lie derivatives of
-conformal fields (numerically and in closed form on the half-plane
-Green's function), classifies sigma by its fixed-point geometry, and
-pushes fields forward under Moebius automorphisms.
+with real coefficients.  This module evaluates them, computes Lie
+derivatives of conformal fields (numerically and in closed form on the
+half-plane Green's function), classifies sigma by its fixed-point
+geometry, and pushes fields forward under Moebius automorphisms.
 """
 
 from __future__ import annotations
@@ -66,12 +65,6 @@ class FieldCoeffs:
             return (self.c1, self.c2, self.c3)
         return (self.c1, self.c2)
 
-    def __call__(self, z):
-        return eval_field(self, z)
-
-    def prime(self, z):
-        return eval_field_prime(self, z)
-
     def second(self, z):
         if self.kind == "b":
             return -4.0 / np.asarray(z, dtype=complex) ** 3 - 2.0 * float(self.c3)
@@ -106,13 +99,6 @@ def eval_field_prime(c: FieldCoeffs, z):
         return 2.0 / (z * z) - float(c.c2) - 2.0 * float(c.c3) * z
     z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
     return -float(c.c1) - 2.0 * float(c.c2) * z
-
-
-def ito_drift(b: FieldCoeffs, sigma: FieldCoeffs, kappa: float, z):
-    """Ito-form drift -b(z) + (kappa/2) sigma(z) sigma'(z) of the flow SDE."""
-    if b.kind != "b" or sigma.kind != "sigma":
-        raise ParameterRangeError("expected a b-field and a sigma-field")
-    return -eval_field(b, z) + 0.5 * kappa * eval_field(sigma, z) * eval_field_prime(sigma, z)
 
 
 @dataclass(frozen=True)
@@ -268,7 +254,7 @@ _PUSH_SAMPLES = np.array(
 )
 
 
-def pushforward(phi: MobiusAut, v: FieldCoeffs, return_scale: bool = False):
+def pushforward(phi: MobiusAut, v: FieldCoeffs) -> FieldCoeffs:
     """Pushforward phi_* v, renormalized to the standard field shape.
 
     The image field phi'(phi^{-1}(z)) v(phi^{-1}(z)) is fitted to the Laurent
@@ -293,15 +279,11 @@ def pushforward(phi: MobiusAut, v: FieldCoeffs, return_scale: bool = False):
         scale = coef[0] / -2.0
         if scale <= 0:
             raise ShapeViolationError("image field is not a normalized b-field")
-        out = FieldCoeffs("b", -coef[1] / scale, -coef[2] / scale, -coef[3] / scale)
-    else:
-        scale = -coef[1]
-        if scale <= 0 or abs(coef[0]) > 1e-12:
-            raise ShapeViolationError("image field is not a normalized sigma-field")
-        out = FieldCoeffs("sigma", -coef[2] / scale, -coef[3] / scale)
-    if return_scale:
-        return out, float(scale)
-    return out
+        return FieldCoeffs("b", -coef[1] / scale, -coef[2] / scale, -coef[3] / scale)
+    scale = -coef[1]
+    if scale <= 0 or abs(coef[0]) > 1e-12:
+        raise ShapeViolationError("image field is not a normalized sigma-field")
+    return FieldCoeffs("sigma", -coef[2] / scale, -coef[3] / scale)
 
 
 def green_as_sampler(nodes: tuple) -> float:

@@ -27,6 +27,16 @@ R_MAX = 1e6
 C_SING = 0.1  # dt_eff = min(dt, C_SING * |distance to singularity|^2)
 
 
+def _n_steps(T: float, dt: float) -> int:
+    """Number of steps of size dt from 0 to the horizon T; dt must divide T."""
+    if not 0.0 < dt <= T < math.inf:
+        raise ParameterRangeError("need 0 < dt <= T < inf")
+    n = round(T / dt)
+    if abs(n * dt - T) > 1e-9 * T:
+        raise ParameterRangeError(f"dt = {dt:g} does not divide T = {T:g}")
+    return n
+
+
 @dataclass(frozen=True)
 class DrivingPath:
     """A sampled driving process xi_t = sqrt(kappa) B_t + alpha t."""
@@ -49,9 +59,7 @@ class DrivingPath:
 def sample_driving(kappa: float, alpha: float, T: float, dt: float,
                    seed) -> DrivingPath:
     """Sample a driving path on a uniform grid from a 64-bit seed or a Generator."""
-    if T <= 0 or dt <= 0 or dt > T:
-        raise ParameterRangeError("need 0 < dt <= T")
-    n = int(round(T / dt))
+    n = _n_steps(T, dt)
     times = dt * np.arange(n + 1)
     rng = seed
     if not isinstance(rng, np.random.Generator):
@@ -66,7 +74,7 @@ def sample_driving(kappa: float, alpha: float, T: float, dt: float,
 
 def zero_driving(kappa: float, alpha: float, T: float, dt: float) -> DrivingPath:
     """Noise-free driving (xi_t = alpha t), for deterministic checks."""
-    n = int(round(T / dt))
+    n = _n_steps(T, dt)
     times = dt * np.arange(n + 1)
     return DrivingPath(kappa, alpha, dt, times, alpha * times)
 
@@ -195,18 +203,14 @@ def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:
         raise DomainError(f"backward flow starts in the upper half-plane: {z0}")
     if t < 0 or t > driving.horizon + 1e-12:
         raise ParameterRangeError(f"time {t} outside the driving horizon")
-    times, xi = driving.times, driving.values
-
-    def xi_of(s):
-        return float(np.interp(s, times, xi))
-
     z = z0
     s = 0.0
     while s < t - 1e-15:
-        h = min(driving.dt, t - s, max(C_SING * abs(z - xi_of(t - s)) ** 2, 1e-10))
+        d = abs(z - driving.xi_at(t - s))
+        h = min(driving.dt, t - s, max(C_SING * d ** 2, 1e-10))
 
         def rhs(s_loc, zz):
-            return -2.0 / (zz - xi_of(t - s_loc))
+            return -2.0 / (zz - driving.xi_at(t - s_loc))
 
         k1 = rhs(s, z)
         k2 = rhs(s + h / 2, z + h / 2 * k1)
@@ -244,8 +248,7 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     log_wp, alive)`` runs after every step when given.  Seed points must lie
     in the open upper half-plane (DomainError otherwise).
     """
-    if T <= 0 or dt <= 0 or dt > T:
-        raise ParameterRangeError("need 0 < dt <= T")
+    n_steps = _n_steps(T, dt)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(np.random.SeedSequence(rng))
     b = model.b.as_float()
@@ -258,7 +261,6 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     log_wp = np.zeros_like(w)
     alive = np.ones(w.shape, dtype=bool)
     freeze_r2 = max(EPS_SWALLOW, math.sqrt(dt / C_SING)) ** 2
-    n_steps = int(round(T / dt))
     if callback is not None:
         callback(0, 0.0, w, log_wp, alive)
     for i in range(n_steps):

@@ -15,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conformal import green_half_plane_grid
 from .errors import ParameterRangeError, SupportViolationError
 
 DEFAULT_RECT = (-8.0, 8.0, 0.0, 8.0)
 DEFAULT_MESH = 256
 DEFAULT_MODES = 64 * 64
+N_IMAGES = 8  # image pairs summed by RectGreenEval
+N_CELL_NODES = 96  # Gauss-Legendre nodes per axis in cell_log_avg
 
 
 @dataclass(frozen=True)
@@ -75,18 +78,17 @@ class RectDomain:
 
 @dataclass(frozen=True)
 class TestFn:
-    """Smooth radial bump: amplitude * exp(1 - 1/(1 - (r/radius)^2)) inside."""
+    """Smooth radial bump: exp(1 - 1/(1 - (r/radius)^2)) inside, 0 outside."""
 
     center: complex
     radius: float
-    amplitude: float = 1.0
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
         r2 = np.abs(z - self.center) ** 2 / self.radius ** 2
         out = np.zeros(z.shape, dtype=float)
         inside = r2 < 1.0
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
         return out if out.shape else float(out)
 
 
@@ -106,9 +108,9 @@ class SupportPatch:
         return float(np.sum(self.weights))
 
 
-def patch_from_testfn(dom: RectDomain, p: TestFn, margin: float = 0.0) -> SupportPatch:
+def patch_from_testfn(dom: RectDomain, p: TestFn) -> SupportPatch:
     """Restrict a bump to its support cells; reject supports leaving the rectangle."""
-    c, r = p.center, p.radius + margin
+    c, r = p.center, p.radius
     if not (
         dom.x0 < c.real - r and c.real + r < dom.x1
         and dom.y0 < c.imag - r and c.imag + r < dom.y1
@@ -215,9 +217,7 @@ class HalfPlaneGreenEval:
     """Vectorized half-plane Green's function with a regularized diagonal."""
 
     def pair(self, z1, z2):
-        z1 = np.asarray(z1, dtype=complex)
-        z2 = np.asarray(z2, dtype=complex)
-        return np.log(np.abs(z1 - np.conj(z2))) - np.log(np.abs(z1 - z2))
+        return green_half_plane_grid(z1, z2)
 
     def diag(self, z):
         """lim_{z2 -> z} [G(z, z2) + log|z - z2|]."""
@@ -234,9 +234,8 @@ class RectGreenEval:
     command uses it: it is the reference the spectral-energy test compares to.
     """
 
-    def __init__(self, dom: RectDomain, n_images: int = 8):
+    def __init__(self, dom: RectDomain):
         self.dom = dom
-        self.n_images = n_images
 
     def _term(self, d, cdx, csx):
         q = np.exp(-math.pi * d / self.dom.width)
@@ -255,7 +254,7 @@ class RectGreenEval:
         dy = np.abs(v1 - v2)
         sy = v1 + v2
         total = 0.0
-        for n in range(self.n_images):
+        for n in range(N_IMAGES):
             s = 2.0 * n * H
             total = total + self._term(dy + s, cdx, csx)
             total = total + self._term(2.0 * H - dy + s, cdx, csx)
@@ -274,7 +273,7 @@ class RectGreenEval:
         total = total + self._term(2.0 * H, 1.0, csx)
         total = total - self._term(2.0 * v, 1.0, csx)
         total = total - self._term(2.0 * H - 2.0 * v, 1.0, csx)
-        for n in range(1, self.n_images):
+        for n in range(1, N_IMAGES):
             s = 2.0 * n * H
             total = total + self._term(s, 1.0, csx)
             total = total + self._term(2.0 * H + s, 1.0, csx)
@@ -283,13 +282,13 @@ class RectGreenEval:
         return total
 
 
-def cell_log_avg(hx: float, hy: float, n_nodes: int = 96) -> float:
+def cell_log_avg(hx: float, hy: float) -> float:
     """Average of log|z1 - z2| over two independent uniform points of one cell.
 
     Uses the triangular density of the coordinate differences; the log
     singularity at zero separation is integrable.
     """
-    t, wt = np.polynomial.legendre.leggauss(n_nodes)
+    t, wt = np.polynomial.legendre.leggauss(N_CELL_NODES)
     ax = 0.5 * hx * (t + 1.0)
     wx = 0.5 * hx * wt
     ay = 0.5 * hy * (t + 1.0)

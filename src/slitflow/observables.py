@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .classify import CftParams, FlowModel, build_u, enumerate_families
-from .conformal import ScMap, green_half_plane_grid, sc_map_build
+from .conformal import green_half_plane_grid, sc_map_build
 from .errors import (
     BranchPointError,
     DomainError,
@@ -32,11 +32,13 @@ from .gff import (
     energy_from_map,
     patch_from_testfn,
 )
-from .stats import McReport, drift_test, ks_normality
+from .stats import drift_test, ks_normality
 
 NEUTRALITY_TOL = 1e-12
 ESCAPE_RE = 20.0
 T_MAX_DEFAULT = 30.0
+C_SING_STRIP = 5e-3  # cardy_zhan step clamp: h = min(dt, C_SING_STRIP |Z|^2)
+VERTEX_TOL = 0.95  # a leftover with no exit probability above this is ambiguous
 
 
 # -- deterministic one-point functions ----------------------------------------
@@ -222,10 +224,10 @@ MARTINGALE_PAIRS = ((0, 3), (1, 4))
 
 def martingale_suite(geometry: str, kappa: float, alpha: float,
                      n_paths: int = 10_000, T: float = 0.3, dt: float = 1e-4,
-                     seed: int = 0,
-                     points: Sequence[complex] = MARTINGALE_POINTS,
-                     z_threshold: float = 3.0) -> list:
+                     seed: int = 0) -> list:
     """Drift tests of u_t, the pair martingale, and the vertex observable.
+
+    The seed points are MARTINGALE_POINTS, paired by MARTINGALE_PAIRS.
 
     Every functional is evaluated on the stopped ensemble (entries freeze at
     their swallow time), so terminal-minus-initial deltas estimate the drift
@@ -233,7 +235,7 @@ def martingale_suite(geometry: str, kappa: float, alpha: float,
     """
     model = _family_model(geometry, kappa, alpha)
     u = build_u(model)
-    pts = np.asarray(points, dtype=complex)
+    pts = np.asarray(MARTINGALE_POINTS, dtype=complex)
     res = simulate_ensemble(model, pts, n_paths, T, dt, seed)
     tag = f"{geometry}-k{kappa:g}-a{alpha:g}"
     reports = []
@@ -245,7 +247,7 @@ def martingale_suite(geometry: str, kappa: float, alpha: float,
     for j in range(3):
         deltas = u_of(res.w[:, j], res.log_wp[:, j]) - u0[j]
         reports.append(
-            drift_test(deltas, f"{tag}-u@{pts[j]:g}", seed, dt, z_threshold)
+            drift_test(deltas, f"{tag}-u@{pts[j]:g}", seed, dt)
         )
     for i1, i2 in MARTINGALE_PAIRS:
         m_T = (
@@ -255,16 +257,16 @@ def martingale_suite(geometry: str, kappa: float, alpha: float,
         )
         m_0 = u0[i1] * u0[i2] + 2.0 * green_half_plane_grid(pts[i1], pts[i2])
         reports.append(
-            drift_test(m_T - m_0, f"{tag}-pair@{i1}{i2}", seed, dt, z_threshold)
+            drift_test(m_T - m_0, f"{tag}-pair@{i1}{i2}", seed, dt)
         )
     vlog = chordal_vertex_log if geometry == "chordal" else dipolar_vertex_log
     m_T = np.exp(vlog(kappa, alpha, res.w[:, 0], res.log_wp[:, 0]))
     m_0 = complex(np.exp(vlog(kappa, alpha, pts[0], 0.0)))
     reports.append(
-        drift_test(m_T.real - m_0.real, f"{tag}-vertex-re", seed, dt, z_threshold)
+        drift_test(m_T.real - m_0.real, f"{tag}-vertex-re", seed, dt)
     )
     reports.append(
-        drift_test(m_T.imag - m_0.imag, f"{tag}-vertex-im", seed, dt, z_threshold)
+        drift_test(m_T.imag - m_0.imag, f"{tag}-vertex-im", seed, dt)
     )
     return reports
 
@@ -295,7 +297,7 @@ class QvResult:
 
 def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
              seed: int = 0, bump: Optional[TestFn] = None,
-             dom: Optional[RectDomain] = None, kappa: float = 4.0) -> QvResult:
+             kappa: float = 4.0) -> QvResult:
     """Quadratic variation of the paired observable against E_0 - E_T.
 
     Chordal flow with zero drift; u = 2a arg w has no rotation term at
@@ -303,9 +305,8 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
     on the same support quadrature so discretization bias cancels in the
     difference.
     """
-    dom = dom or RectDomain()
     bump = bump or TestFn(2.0j, 0.3)
-    patch = patch_from_testfn(dom, bump)
+    patch = patch_from_testfn(RectDomain(), bump)
     model = _family_model("chordal", kappa, 0.0)
     two_a = 2.0 * CftParams(kappa).a
     wgt = patch.weights
@@ -358,34 +359,25 @@ class CardyZhanResult:
             for m, o, s in zip(self.mc, self.oracle, self.se)
         )
 
-    def reports(self) -> list:
-        names = ("swallowed", "right", "left")
-        return [
-            McReport(f"cardy-zhan-{nm}", self.n, m, m * (1.0 - m), o,
-                     self.seed, self.dt)
-            for nm, m, o in zip(names, self.mc, self.oracle)
-        ]
-
 
 def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
                t_max: float = T_MAX_DEFAULT, dt: float = 2e-4,
-               seed: int = 0, sc_map: Optional[ScMap] = None,
-               vertex_tol: float = 0.95, c_sing: float = 5e-3) -> CardyZhanResult:
+               seed: int = 0) -> CardyZhanResult:
     """Classify strip points under the dipolar drift flow and compare to the oracle.
 
     Simulates Z_t = g_t(z) - xi_t with dZ = (coth(Z/2) - alpha) dt - sqrt(k) dB
-    using a per-path step min(dt, c_sing |Z|^2) near the swallowing
-    singularity; c_sing = 5e-3 keeps the per-step noise below ~0.2 |Z| so the
-    hitting probability of the swallow threshold is resolved without bias.
-    Outcomes: swallowed (|Z| below threshold), escaped right/left
-    (|Re Z| > 20), or ambiguous at the time horizon.
+    using a per-path step min(dt, C_SING_STRIP |Z|^2) near the swallowing
+    singularity; C_SING_STRIP = 5e-3 keeps the per-step noise below ~0.2 |Z|
+    so the hitting probability of the swallow threshold is resolved without
+    bias.  Outcomes: swallowed (|Z| below threshold), escaped right/left
+    (|Re Z| > ESCAPE_RE), or allocated by the oracle at the time horizon.
     """
     if kappa <= 4:
         raise ParameterRangeError("swallowing needs kappa > 4")
     z = complex(z)
     if not 0.0 < z.imag < math.pi:
         raise ParameterRangeError("seed point must be inside the strip")
-    sm = sc_map or sc_map_build(kappa, alpha)
+    sm = sc_map_build(kappa, alpha)
     oracle = sm.exit_probabilities(z)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sqk = math.sqrt(kappa)
@@ -401,7 +393,7 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     step = 0
     while x.size:
         r2 = x * x + y * y
-        h = np.minimum(dt, c_sing * r2)
+        h = np.minimum(dt, C_SING_STRIP * r2)
         # the time-horizon clamp can round a hair negative once t ~ t_max
         np.minimum(h, np.maximum(t_max - t, 0.0), out=h)
         # cancellation-free form of cosh(x) - cos(y); the naive difference
@@ -445,7 +437,7 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
             continue
         for key, p in zip(("swallow", "right", "left"), bary):
             counts[key] += float(p)
-        if max(bary) <= vertex_tol:
+        if max(bary) <= VERTEX_TOL:
             ambiguous += 1
     mc = tuple(counts[k] / n_paths for k in ("swallow", "right", "left"))
     se = tuple(math.sqrt(p * (1.0 - p) / n_paths) for p in mc)
@@ -458,17 +450,18 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
 # -- residual identities ---------------------------------------------------------
 
 
-def bpz_sc_residual(kappa: float, alpha: float, z: complex,
-                    h_fd: Optional[float] = None) -> dict:
+def bpz_sc_residual(kappa: float, alpha: float, z: complex) -> dict:
     """Residuals of the second-order ODE for the triangle map and its
     vertex-observable counterpart.
 
     h''/h' is formed by a fourth-order finite difference of the closed-form
     h' and compared with exp_one/(z-1) + exp_zero/z; the log-derivative of
-    the dipolar vertex observable is compared with its partial-fraction form.
+    the dipolar vertex observable is compared with its partial-fraction form,
+    whose exponents are the triangle map's.  The difference step is
+    1e-3 max(1, |z|).
     """
     z = complex(z)
-    h = h_fd if h_fd is not None else 1e-3 * max(1.0, abs(z))
+    h = 1e-3 * max(1.0, abs(z))
     if min(abs(z), abs(z - 1.0)) < 10 * h or abs(z + 1.0) < 10 * h:
         raise BranchPointError("evaluation point too close to a branch point")
     sm = sc_map_build(kappa, alpha)
@@ -485,11 +478,7 @@ def bpz_sc_residual(kappa: float, alpha: float, z: complex,
         return dipolar_vertex_log(kappa, alpha, 2.0 * x, 0.0)
 
     lderiv = fd_deriv(mhat_log, z)
-    closed_v = (
-        (-4.0 / kappa) / z
-        + (-1.0 + 2.0 * (1.0 - alpha) / kappa) / (z - 1.0)
-        + (-1.0 + 2.0 * (1.0 + alpha) / kappa) / (z + 1.0)
-    )
+    closed_v = sm.exp_one / z + sm.exp_inf / (z - 1.0) + sm.exp_zero / (z + 1.0)
     return {
         "map_residual": float(res_map),
         "vertex_residual": float(abs(lderiv - closed_v)),
@@ -530,8 +519,9 @@ class CouplingResult:
 
 def _coupling_chunk(args):
     """One independently seeded batch of joint flow/field samples."""
-    chunk_seed, m, T, dt, bump, dom, alpha = args
+    chunk_seed, m, T, dt, bump, alpha = args
     kappa = 4.0
+    dom = RectDomain()
     basis = eigen_basis(dom)
     patch = patch_from_testfn(dom, bump)
     model = _family_model("chordal", kappa, alpha)
@@ -554,8 +544,8 @@ def _coupling_chunk(args):
 
 def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
                  seed: int = 0, bump: Optional[TestFn] = None,
-                 dom: Optional[RectDomain] = None, alpha: float = 0.0,
-                 chunk: int = 500, threads: int = 1) -> CouplingResult:
+                 alpha: float = 0.0, chunk: int = 500,
+                 threads: int = 1) -> CouplingResult:
     """Joint flow/field samples of (field o w_T, p) + (u_T, p) at kappa = 4.
 
     Field and flow use independent seed streams.  The terminal law has mean
@@ -565,7 +555,7 @@ def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
     concatenated in a fixed order, so the result is byte-identical for any
     pool size.
     """
-    dom = dom or RectDomain()
+    dom = RectDomain()
     bump = bump or TestFn(1.5j, 0.3)
     basis = eigen_basis(dom)
     patch = patch_from_testfn(dom, bump)
@@ -581,7 +571,7 @@ def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
         sizes.append(n_samples % chunk)
     child_seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     jobs = [
-        (cs, m, T, dt, bump, dom, alpha)
+        (cs, m, T, dt, bump, alpha)
         for cs, m in zip(child_seeds, sizes)
     ]
     if threads > 1 and len(jobs) > 1:

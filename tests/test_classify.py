@@ -1,5 +1,6 @@
 """Family classification, exact coefficients, and generator annihilation."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -121,7 +122,7 @@ def test_generator_annihilates_u(kappa):
         if spec.parameter == "alpha":
             model = spec.instantiate(alpha=0.3)
         else:
-            model = spec.instantiate(beta=0.2)
+            model = spec.instantiate(B=0.2 * math.sqrt(kappa))
         u = build_u(model)
         rep = check_annihilation(model, u, SAMPLE_POINTS)
         assert rep["max"] < 1e-8, (spec.name, rep["max"])
@@ -133,7 +134,7 @@ def test_bsigma_consistency(kappa):
         if spec.parameter == "alpha":
             model = spec.instantiate(alpha=0.3)
         else:
-            model = spec.instantiate(beta=0.2)
+            model = spec.instantiate(B=0.2 * math.sqrt(kappa))
         rep = check_bsigma(model, SAMPLE_POINTS)
         assert rep["max"] < 1e-8, (spec.name, rep["max"])
 

@@ -62,6 +62,9 @@ def test_bad_flag_value_exits_two(capsys):
         ["cardy-zhan", "--seed", "1", "--alpha", "1.5"],
         ["classify", "--kappa", "-1"],
         ["gff-couple", "--seed", "1", "--center", "0.1i"],
+        ["simulate", "--seed", "1", "--T", "0.1", "--dt", "0.07"],
+        ["simulate", "--seed", "1", "--T", "inf"],
+        ["check-identities", "--seed", "1", "--n-pairs", "0"],
     ):
         assert main(argv) == 2, argv
         assert "config error" in capsys.readouterr().err

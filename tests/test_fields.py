@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from slitflow.conformal import MobiusAut, green_half_plane
 from slitflow.errors import (
     CoincidentPointsError,
-    ParameterRangeError,
     ShapeViolationError,
 )
 from slitflow.fields import (
@@ -20,7 +19,6 @@ from slitflow.fields import (
     eval_field,
     eval_field_prime,
     green_as_sampler,
-    ito_drift,
     lie_derivative,
     lie_green_closed,
     pushforward,
@@ -38,10 +36,10 @@ def test_field_evaluation_matches_polynomial():
     b = FieldCoeffs.b_field(0.3, -0.7, 0.2)
     s = FieldCoeffs.sigma_field(0.5, -0.1)
     z = 0.4 + 1.1j
-    assert b(z) == pytest.approx(-(2.0 / z + 0.3 - 0.7 * z + 0.2 * z * z))
-    assert s(z) == pytest.approx(-(1.0 + 0.5 * z - 0.1 * z * z))
-    assert b.prime(z) == pytest.approx(-(-2.0 / z ** 2 - 0.7 + 0.4 * z))
-    assert s.prime(z) == pytest.approx(-(0.5 - 0.2 * z))
+    assert eval_field(b, z) == pytest.approx(-(2.0 / z + 0.3 - 0.7 * z + 0.2 * z * z))
+    assert eval_field(s, z) == pytest.approx(-(1.0 + 0.5 * z - 0.1 * z * z))
+    assert eval_field_prime(b, z) == pytest.approx(-(-2.0 / z ** 2 - 0.7 + 0.4 * z))
+    assert eval_field_prime(s, z) == pytest.approx(-(0.5 - 0.2 * z))
     assert b.second(z) == pytest.approx(-(4.0 / z ** 3 + 0.4))
     assert s.second(z) == pytest.approx(0.2)
 
@@ -52,16 +50,6 @@ def test_eval_field_prime_by_finite_differences():
     h = 1e-6
     fd = (eval_field(b, z + h) - eval_field(b, z - h)) / (2 * h)
     assert eval_field_prime(b, z) == pytest.approx(fd, rel=1e-8)
-
-
-def test_ito_drift_combines_b_and_sigma():
-    b = FieldCoeffs.b_field(0.1, 0.2, 0.3)
-    s = FieldCoeffs.sigma_field(-0.4, 0.05)
-    z = 0.3 + 1.4j
-    expect = -eval_field(b, z) + 0.5 * 3.0 * eval_field(s, z) * eval_field_prime(s, z)
-    assert ito_drift(b, s, 3.0, z) == pytest.approx(expect)
-    with pytest.raises(ParameterRangeError):
-        ito_drift(s, s, 3.0, z)
 
 
 def test_lie_green_sigma_vanishes_on_random_pairs():

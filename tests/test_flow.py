@@ -71,6 +71,9 @@ def test_driving_path_shape_and_interp():
     )
     with pytest.raises(ParameterRangeError):
         sample_driving(4.0, 0.0, 1.0, 2.0, seed=0)
+    # a step that does not divide the horizon would silently stop short of T
+    with pytest.raises(ParameterRangeError):
+        zero_driving(4.0, 0.0, 0.1, 0.07)
 
 
 def test_coth_half_scalar_and_grid_agree():

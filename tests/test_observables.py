@@ -13,6 +13,7 @@ from slitflow.errors import (
     ParameterRangeError,
 )
 from slitflow.flow import chordal_loewner, zero_driving
+from slitflow.gff import RectDomain, TestFn, patch_from_testfn
 from slitflow.observables import (
     ChargeVector,
     cardy_zhan,
@@ -20,6 +21,7 @@ from slitflow.observables import (
     dipolar_vertex_log,
     phi_hat_one_point,
     qv_check,
+    run_coupling,
     vertex_correlation,
 )
 
@@ -162,3 +164,18 @@ def test_cardy_zhan_smoke():
     assert res.ambiguous_frac < 0.05
     assert res.max_abs_err < 0.05
     assert abs(sum(res.oracle) - 1.0) < 1e-9
+
+
+def test_drift_modified_coupling_law():
+    # the drift-modified coupling: with alpha != 0 the pairing's mean shifts
+    # by alpha a (Im z, p); gates at 5 se, the alpha = 0 mean must be ruled out
+    res = run_coupling(n_samples=1000, T=0.1, dt=1e-3, seed=1, alpha=1.0)
+    se_var = res.var_target * math.sqrt(2.0 / (res.n - 1))
+    assert abs(res.mean - res.mean_target) < 5.0 * res.se
+    assert abs(res.variance - res.var_target) < 5.0 * se_var
+    assert res.flagged == 0
+    patch = patch_from_testfn(RectDomain(), TestFn(1.5j, 0.3))
+    target_alpha0 = float(
+        2.0 * CftParams(4.0).a * np.angle(patch.centers) @ patch.weights
+    )
+    assert abs(res.mean - target_alpha0) > 10.0 * res.se

@@ -1,60 +1,12 @@
-"""Accumulators, Monte Carlo reports, and normality checks."""
+"""Monte Carlo reports, drift tests, and normality checks."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slitflow.errors import ParameterRangeError
-from slitflow.stats import (
-    McReport,
-    RunningStats,
-    drift_test,
-    ks_normality,
-)
-
-
-def test_running_stats_matches_numpy():
-    rng = np.random.default_rng(0)
-    xs = rng.standard_normal(1000)
-    acc = RunningStats()
-    acc.add_batch(xs[:300])
-    acc.add_batch(xs[300:])
-    assert acc.n == 1000
-    assert acc.mean == pytest.approx(float(np.mean(xs)), abs=1e-12)
-    assert acc.variance == pytest.approx(float(np.var(xs, ddof=1)), rel=1e-12)
-
-
-def test_running_stats_merge_is_order_insensitive_up_to_roundoff():
-    rng = np.random.default_rng(1)
-    xs = rng.standard_normal(400)
-    a = RunningStats()
-    a.add_batch(xs)
-    b1, b2 = RunningStats(), RunningStats()
-    b1.add_batch(xs[:100])
-    b2.add_batch(xs[100:])
-    b1.merge(b2)
-    assert b1.n == a.n
-    assert b1.mean == pytest.approx(a.mean, abs=1e-12)
-    assert b1.variance == pytest.approx(a.variance, rel=1e-10)
-
-
-def test_running_stats_empty_and_single():
-    acc = RunningStats()
-    acc.add_batch([])
-    assert acc.n == 0 and acc.se == math.inf
-    acc.add_batch([2.0])
-    assert acc.mean == 2.0 and acc.variance == 0.0
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-@settings(max_examples=100, deadline=None)
-def test_running_stats_variance_nonnegative(xs):
-    acc = RunningStats()
-    acc.add_batch(xs)
-    assert acc.variance >= -1e-9 * max(1.0, max(abs(x) for x in xs)) ** 2
+from slitflow.stats import McReport, drift_test, ks_normality
 
 
 def test_mc_report_zscore_and_pass():
