@@ -2,8 +2,10 @@
 
 Driving processes, one adaptive RK4 driver for the noise-free chordal and
 strip Loewner equations, the backward (inverse-map) flow, and the
-vectorized Euler-Maruyama ensemble for the general flow SDE (with
-derivative tracking through log w').
+vectorized Euler-Maruyama ensemble for the general flow SDE with derivative
+tracking through log w'.  The ensemble folds the Ito drifts of (w, log w')
+into one fixed Laurent polynomial each per model and steps the real and
+imaginary parts of the state in preallocated float arrays.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .conformal import require_upper_half_plane
 from .errors import (
     DomainError,
@@ -20,7 +23,11 @@ from .errors import (
     ReversalInstabilityError,
     StepExplosionError,
 )
-from .fields import eval_field, eval_field_prime
+
+# the benchmark tracer (perfbench/spans.py) wraps these two names in this
+# module, so they stay reachable here; nothing in this module calls them
+eval_field = fields.eval_field
+eval_field_prime = fields.eval_field_prime
 
 EPS_SWALLOW = 1e-4
 R_MAX = 1e6
@@ -237,53 +244,132 @@ class EnsembleResult:
     dt: float
 
 
+def _fold(drift, noise, dt: float, sqk: float) -> list:
+    """Per power of w, the pair (drift * dt, noise * sqrt(kappa)); trailing
+    powers where both vanish are dropped."""
+    terms = [(d * dt, s * sqk) for d, s in zip(drift, noise)]
+    while terms and terms[-1] == (0.0, 0.0):
+        terms.pop()
+    return terms
+
+
+def _add_poly(terms, db, x, y, out_re, out_im, re, im, t1, t2) -> None:
+    """Add sum_j (d_j + s_j dB) z^j at z = x + iy to (out_re, out_im).
+
+    Horner in real arithmetic on preallocated buffers (re, im, t1, t2 are
+    scratch); dB is the (n_paths, 1) column of the step's increments, and
+    coefficients that vanish are skipped.
+    """
+    c = [d + s * db if s else (d or None) for d, s in terms]
+    if not c:
+        return
+    n = len(c) - 1
+    if n:
+        np.multiply(c[n], x, out=re)
+        np.multiply(c[n], y, out=im)
+        for cj in c[n - 1:0:-1]:
+            if cj is not None:
+                re += cj
+            np.multiply(re, y, out=t1)
+            np.multiply(im, y, out=t2)
+            re *= x
+            re -= t2
+            im *= x
+            im += t1
+        out_re += re
+        out_im += im
+    if c[0] is not None:
+        out_re += c[0]
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
                       rng, callback=None) -> EnsembleResult:
     """Euler-Maruyama ensemble of the flow SDE in Ito form.
 
+    With b = -(2/w + b_{-1} + b_0 w + b_1 w^2), sigma = -(1 + s_0 w + s_1 w^2)
+    and k = kappa/2, the Ito drifts -b + k sigma sigma' of w and
+    -b' + k sigma sigma'' of log w' are the fixed Laurent polynomials
+    2/w + P(w) and -2/w^2 + Q(w), with
+    P = (b_{-1} + k s_0, b_0 + k(2 s_1 + s_0^2), b_1 + 3k s_0 s_1, 2k s_1^2) and
+    Q = (b_0 + kappa s_1, 2 b_1 + kappa s_0 s_1, kappa s_1^2); the noise
+    coefficients are sigma and sigma' = -(s_0 + 2 s_1 w).  They are folded
+    once per call, and each step evaluates them by Horner on the real and
+    imaginary parts of (w, log w') held in preallocated float arrays.
+
     All seed points of one path share the Brownian increment.  A (path,
     point) entry freezes once it comes within the resolvable distance of the
-    pole at the origin or leaves the upper half-plane; freezing at a state-
-    dependent time keeps stopped functionals unbiased.  ``callback(i, t, w,
-    log_wp, alive)`` runs after every step when given.  Seed points must lie
-    in the open upper half-plane (DomainError otherwise).
+    pole at the origin or leaves the upper half-plane; it then keeps its last
+    state, which lies off the pole.  Freezing at a state-dependent time keeps
+    stopped functionals unbiased.  ``callback(i, t, w, log_wp, alive)`` runs
+    after every step when given, with fresh complex arrays.  Seed points must
+    lie in the open upper half-plane (DomainError otherwise).
     """
     n_steps = _n_steps(T, dt)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(np.random.SeedSequence(rng))
-    b = model.b.as_float()
-    sigma = model.sigma.as_float()
+    bm1, b0, b1 = model.b.as_float().coeffs
+    s0, s1 = model.sigma.as_float().coeffs
     kappa = float(model.kappa)
+    k = 0.5 * kappa
     sqk = math.sqrt(kappa)
+    w_terms = _fold(
+        (bm1 + k * s0, b0 + k * (2.0 * s1 + s0 * s0), b1 + 3.0 * k * s0 * s1,
+         2.0 * k * s1 * s1),
+        (-1.0, -s0, -s1, 0.0), dt, sqk)
+    l_terms = _fold(
+        (b0 + kappa * s1, 2.0 * b1 + kappa * s0 * s1, kappa * s1 * s1),
+        (-s0, -2.0 * s1, 0.0), dt, sqk)
     pts = np.asarray(points, dtype=complex).ravel()
     require_upper_half_plane(pts)
-    w = np.broadcast_to(pts, (n_paths, pts.size)).copy()
-    log_wp = np.zeros_like(w)
-    alive = np.ones(w.shape, dtype=bool)
+    shape = (n_paths, pts.size)
+    x = np.tile(pts.real, (n_paths, 1))
+    y = np.tile(pts.imag, (n_paths, 1))
+    lr, li = np.zeros(shape), np.zeros(shape)
+    xn, yn, lrn, lin, a, b, c, d = (np.empty(shape) for _ in range(8))
+    alive = np.ones(shape, dtype=bool)
     freeze_r2 = max(EPS_SWALLOW, math.sqrt(dt / C_SING)) ** 2
     if callback is not None:
-        callback(0, 0.0, w, log_wp, alive)
+        callback(0, 0.0, _complex(x, y), _complex(lr, li), alive.copy())
     for i in range(n_steps):
         db = rng.standard_normal((n_paths, 1)) * math.sqrt(dt)
-        ws = np.where(alive, w, 1.0 + 1.0j)
-        bv = eval_field(b, ws)
-        bp = eval_field_prime(b, ws)
-        sv = eval_field(sigma, ws)
-        sp = eval_field_prime(sigma, ws)
-        spp = sigma.second(ws)
-        drift_w = -bv + 0.5 * kappa * sv * sp
-        drift_l = -bp + 0.5 * kappa * sv * spp
-        w_new = w + drift_w * dt + sqk * sv * db
-        l_new = log_wp + drift_l * dt + sqk * sp * db
-        bad = (w_new.imag <= 0.0) | (
-            w_new.real ** 2 + w_new.imag ** 2 < freeze_r2
-        )
-        ok = alive & ~bad
-        w = np.where(ok, w_new, w)
-        log_wp = np.where(ok, l_new, log_wp)
-        if np.any(np.abs(w[ok]) > R_MAX):
+        # the poles: 2 dt/w = g conj(w) and -2 dt/w^2 = -h conj(w)^2, with
+        # g = 2 dt/|w|^2 in d and h = g/|w|^2 in c
+        np.multiply(x, x, out=a)
+        np.multiply(y, y, out=b)
+        np.add(a, b, out=c)
+        np.divide(2.0 * dt, c, out=d)
+        np.divide(d, c, out=c)
+        a -= b
+        np.multiply(c, a, out=lrn)
+        np.subtract(lr, lrn, out=lrn)
+        np.multiply(x, y, out=lin)
+        lin *= c
+        lin *= 2.0
+        lin += li
+        np.multiply(d, x, out=xn)
+        xn += x
+        np.multiply(d, y, out=yn)
+        np.subtract(y, yn, out=yn)
+        _add_poly(w_terms, db, x, y, xn, yn, a, b, c, d)
+        _add_poly(l_terms, db, x, y, lrn, lin, a, b, c, d)
+        np.multiply(xn, xn, out=a)
+        np.multiply(yn, yn, out=b)
+        a += b
+        alive &= ~((yn <= 0.0) | (a < freeze_r2))
+        if np.max(a, where=alive, initial=0.0) > R_MAX * R_MAX:
             raise StepExplosionError("ensemble trajectory left the safe radius")
-        alive = ok
+        np.copyto(x, xn, where=alive)
+        np.copyto(y, yn, where=alive)
+        np.copyto(lr, lrn, where=alive)
+        np.copyto(li, lin, where=alive)
         if callback is not None:
-            callback(i + 1, (i + 1) * dt, w, log_wp, alive)
-    return EnsembleResult(pts, w, log_wp, alive, float(n_steps * dt), dt)
+            callback(i + 1, (i + 1) * dt, _complex(x, y), _complex(lr, li),
+                     alive.copy())
+    return EnsembleResult(pts, _complex(x, y), _complex(lr, li), alive,
+                          float(n_steps * dt), dt)

@@ -10,6 +10,7 @@ image sum, and pullbacks along simulated flow maps).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,6 +83,11 @@ class TestFn:
 
     center: complex
     radius: float
+
+    def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:
+            raise ParameterRangeError(
+                f"bump radius must be positive and finite: {self.radius}")
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
@@ -282,11 +288,13 @@ class RectGreenEval:
         return total
 
 
+@functools.lru_cache
 def cell_log_avg(hx: float, hy: float) -> float:
     """Average of log|z1 - z2| over two independent uniform points of one cell.
 
     Uses the triangular density of the coordinate differences; the log
-    singularity at zero separation is integrable.
+    singularity at zero separation is integrable.  Cached: every energy on
+    one mesh asks for the same cell.
     """
     t, wt = np.polynomial.legendre.leggauss(N_CELL_NODES)
     ax = 0.5 * hx * (t + 1.0)

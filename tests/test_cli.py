@@ -65,6 +65,8 @@ def test_bad_flag_value_exits_two(capsys):
         ["simulate", "--seed", "1", "--T", "0.1", "--dt", "0.07"],
         ["simulate", "--seed", "1", "--T", "inf"],
         ["check-identities", "--seed", "1", "--n-pairs", "0"],
+        ["gff-couple", "--seed", "1", "--radius", "0"],
+        ["gff-couple", "--seed", "1", "--radius", "-0.3"],
     ):
         assert main(argv) == 2, argv
         assert "config error" in capsys.readouterr().err

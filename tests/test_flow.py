@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from slitflow.classify import enumerate_families
-from slitflow.errors import DomainError, ParameterRangeError
+from slitflow.errors import DomainError, ParameterRangeError, StepExplosionError
+from slitflow.fields import eval_field, eval_field_prime
 from slitflow.flow import (
     DrivingPath,
     chordal_loewner,
@@ -18,6 +19,7 @@ from slitflow.flow import (
     simulate_ensemble,
     zero_driving,
 )
+from slitflow.observables import MARTINGALE_POINTS, _family_model
 
 
 def _chordal_model(kappa=4.0, alpha=0.0):
@@ -141,11 +143,51 @@ def test_ensemble_seed_changes_output():
 
 def test_ensemble_freezes_near_singularity():
     model = _chordal_model(6.0, 0.0)
-    # a point hugging the origin gets frozen, not propagated to Im <= 0
-    pts = np.array([0.02 + 0.05j])
-    res = simulate_ensemble(model, pts, 64, 0.05, 1e-3, 7)
+    # a point hugging the origin gets frozen, not propagated to Im <= 0,
+    # and from then on keeps the state it had before the freezing step
+    pts = np.array([0.02 + 0.05j, 1.0j])
+    seen = []
+
+    def cb(i, t, w, log_wp, alive):
+        seen.append((w, log_wp, alive))
+
+    res = simulate_ensemble(model, pts, 64, 0.05, 1e-3, 7, cb)
     assert np.any(~res.alive)
     assert np.all(res.w.imag > 0)
+    w, log_wp, alive = (np.stack(a) for a in zip(*seen))
+    assert alive[0].all() and not np.any(alive[1:] & ~alive[:-1])
+    frozen = ~alive[1:]
+    assert np.array_equal(w[1:][frozen], w[:-1][frozen])
+    assert np.array_equal(log_wp[1:][frozen], log_wp[:-1][frozen])
+    assert np.array_equal(res.w, w[-1]) and np.array_equal(res.log_wp, log_wp[-1])
+
+
+def test_ensemble_raises_beyond_safe_radius():
+    with pytest.raises(StepExplosionError):
+        simulate_ensemble(_chordal_model(), [2e6j], 4, 0.01, 1e-3, 0)
+
+
+@pytest.mark.parametrize("geometry, kappa, alpha",
+                         [("chordal", 4.0, 1.0), ("dipolar", 6.0, 0.3)])
+def test_ensemble_step_matches_ito_formula(geometry, kappa, alpha):
+    # one step is w + (-b + (kappa/2) sigma sigma') dt + sqrt(kappa) sigma dB
+    # and log w' + (-b' + (kappa/2) sigma sigma'') dt + sqrt(kappa) sigma' dB,
+    # on the first normal draw of the seed
+    model = _family_model(geometry, kappa, alpha)
+    pts = np.asarray(MARTINGALE_POINTS, dtype=complex)
+    n, dt = 16, 1e-3
+    res = simulate_ensemble(model, pts, n, dt, dt, 3)
+    db = np.random.default_rng(np.random.SeedSequence(3)).standard_normal((n, 1))
+    db *= math.sqrt(dt)
+    b, s = model.b, model.sigma
+    sv, sp = eval_field(s, pts), eval_field_prime(s, pts)
+    w = pts + (-eval_field(b, pts) + 0.5 * kappa * sv * sp) * dt
+    w = w + math.sqrt(kappa) * sv * db
+    log_wp = (-eval_field_prime(b, pts) + 0.5 * kappa * sv * s.second(pts)) * dt
+    log_wp = log_wp + math.sqrt(kappa) * sp * db
+    assert res.alive.all()
+    np.testing.assert_allclose(res.w, w, rtol=1e-12)
+    np.testing.assert_allclose(res.log_wp, log_wp, rtol=1e-12)
 
 
 def test_ensemble_callback_order_and_times():
