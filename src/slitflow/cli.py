@@ -52,6 +52,8 @@ def _fmt(x):
 
 
 def _parse_complex(s: str) -> complex:
+    if not isinstance(s, str):
+        raise ConfigError(f"complex numbers are given as strings, not {s!r}")
     try:
         return complex(s.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
@@ -398,8 +400,17 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args, defaults)
         cfg["command"] = args.command
-        if cfg.get("z") is None and args.command in _DEFAULT_Z:
-            cfg["z"] = _DEFAULT_Z[args.command]
+        threads = cfg.get("threads")
+        if threads is not None and (not isinstance(threads, int) or threads < 1):
+            raise ConfigError("threads must be a positive integer")
+        if args.command in _DEFAULT_Z:
+            if cfg.get("z") is None:
+                cfg["z"] = _DEFAULT_Z[args.command]
+            elif isinstance(cfg["z"], str):
+                # a config file may name one point without a list
+                cfg["z"] = [cfg["z"]]
+            elif not isinstance(cfg["z"], list):
+                raise ConfigError("z must be a string or a list of strings")
         rows, ok = args.func(cfg)
         _emit(rows, cfg, cfg.get("out"), cfg.get("format", "csv"))
     except (ConfigError, DomainError, ParameterRangeError,

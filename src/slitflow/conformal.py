@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, roots_jacobi
 
 from .errors import (
     CoincidentPointsError,
@@ -201,6 +200,9 @@ class ScMap:
             raise ParameterRangeError("kappa must exceed 4")
         if not (-1.0 < self.alpha < 1.0):
             raise ParameterRangeError("alpha must lie in (-1, 1)")
+        # scipy.special loads with the first map, not with the package
+        from scipy.special import betaln, roots_jacobi
+
         k, al = self.kappa, self.alpha
         self.exp_one = -4.0 / k
         self.exp_zero = -1.0 + 2.0 * (1.0 + al) / k

@@ -576,7 +576,9 @@ def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
     ]
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+        # a fork pool starts all its workers at the first submit, so never
+        # ask for more than there are chunks
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
             parts = list(ex.map(_coupling_chunk, jobs))
     else:
         parts = [_coupling_chunk(j) for j in jobs]

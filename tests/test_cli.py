@@ -67,6 +67,9 @@ def test_bad_flag_value_exits_two(capsys):
         ["check-identities", "--seed", "1", "--n-pairs", "0"],
         ["gff-couple", "--seed", "1", "--radius", "0"],
         ["gff-couple", "--seed", "1", "--radius", "-0.3"],
+        ["gff-couple", "--seed", "1", "--threads", "0"],
+        ["gff-couple", "--seed", "1", "--threads", "-3"],
+        ["classify", "--threads", "0"],
     ):
         assert main(argv) == 2, argv
         assert "config error" in capsys.readouterr().err
@@ -100,6 +103,22 @@ def test_config_file_merge_flags_win(tmp_path, capsys):
     assert header["kappa"] == 3          # flag overrides file
     assert header["alpha"] == 0.25       # file overrides default
     assert "threads" not in header       # runtime knob stripped
+
+
+@pytest.mark.parametrize("command", [
+    ["sc-residual"],
+    ["simulate", "--seed", "1", "--n-paths", "2"],
+])
+def test_config_file_string_z_is_one_point(tmp_path, capsys, command):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"z": "2i"}))
+    assert main(command + ["--config", str(cfgf), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows and {r.get("z_im", r.get("im_z")) for r in rows} == {2.0}
+    for bad in (5, {"re": 0, "im": 2}, [2.0]):
+        cfgf.write_text(json.dumps({"z": bad}))
+        assert main(command + ["--config", str(cfgf)]) == 2, bad
+        assert "config error" in capsys.readouterr().err
 
 
 def test_config_file_invalid_json_exits_two(tmp_path):

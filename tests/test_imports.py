@@ -1,9 +1,15 @@
-"""Every name a slitflow module imports is used in that module, and every
-module-level definition is named somewhere outside its own definition."""
+"""Every name a slitflow module imports is used in that module, every
+module-level definition is named somewhere outside its own definition, and
+subcommands that need no scipy routine start on numpy alone."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import slitflow
 
@@ -53,3 +59,30 @@ def test_no_orphan_definitions():
                 if sum(len(word.findall(t)) for t in texts) <= 1:
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert not found, "definitions nothing names: " + ", ".join(found)
+
+
+def _loaded_after(code: str) -> list:
+    """scipy modules loaded in a fresh interpreter after running code."""
+    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_does_not_load_scipy_stats():
+    loaded = _loaded_after("import slitflow")
+    assert "scipy.stats" not in loaded, loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--kappa", "6"],
+    ["check-identities", "--kappa", "6", "--seed", "1", "--n-pairs", "10"],
+    ["simulate", "--seed", "1", "--n-paths", "4"],
+])
+def test_subcommands_without_sc_map_or_ks_test_load_no_scipy(argv):
+    # one fresh interpreter per subcommand: scipy loads only with the first
+    # Schwarz-Christoffel map or KS test, which these never build
+    code = f"from slitflow.cli import main\nassert main({argv!r}) == 0"
+    loaded = _loaded_after(code)
+    assert not loaded, loaded

@@ -179,3 +179,33 @@ def test_drift_modified_coupling_law():
         2.0 * CftParams(4.0).a * np.angle(patch.centers) @ patch.weights
     )
     assert abs(res.mean - target_alpha0) > 10.0 * res.se
+
+
+def test_coupling_pool_is_sized_by_the_chunks(monkeypatch):
+    # a fork pool starts every worker it is sized for at the first submit,
+    # so eight threads over two chunks must ask for two; an in-process fake
+    # records the request and starts no process
+    import concurrent.futures
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    pooled = run_coupling(n_samples=1000, T=0.01, dt=1e-3, seed=2, chunk=500,
+                          threads=8)
+    assert requested == [2]
+    serial = run_coupling(n_samples=1000, T=0.01, dt=1e-3, seed=2, chunk=500)
+    assert requested == [2]
+    assert pooled.samples.tobytes() == serial.samples.tobytes()

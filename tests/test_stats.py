@@ -58,3 +58,27 @@ def test_ks_normality_accepts_gaussian_rejects_uniform():
     us = rng.uniform(-1, 1, 5000)
     stat_u, crit_u = ks_normality(us, 0.0, math.sqrt(1.0 / 3.0))
     assert stat_u > crit_u
+
+
+@pytest.mark.parametrize("case", [
+    "n1", "n2", "n500", "n5000", "ties", "shifted_scaled",
+])
+def test_ks_normality_matches_scipy_stats_exactly(case):
+    # scipy.stats stays out of the package; here it is the reference, and
+    # the direct computation must reproduce it bit for bit
+    from scipy import stats as sps
+
+    rng = np.random.default_rng(11)
+    mean, std = 0.0, 1.0
+    if case == "ties":
+        xs = np.round(rng.standard_normal(400), 1)
+    elif case == "shifted_scaled":
+        mean, std = -3.5, 0.2
+        xs = mean + std * rng.standard_normal(2000)
+    else:
+        xs = rng.standard_normal(int(case[1:]))
+    xs = np.sort(xs)[::-1]  # descending: ks_normality must sort it itself
+    stat, crit = ks_normality(xs, mean, std)
+    zs = (xs - mean) / std
+    assert stat == float(sps.kstest(zs, "norm").statistic)
+    assert crit == float(sps.kstwobign.ppf(0.99)) / math.sqrt(xs.size)
