@@ -1,15 +1,19 @@
 """Command-line front end: reproducible experiment tables from configs.
 
-Every subcommand accepts --config (JSON file, flags win), --seed, --threads,
---out and --format; outputs carry a header block with the resolved config,
-the seed and the package version.  Exit status: 0 when all pass flags are
-true, 1 when a check fails, 2 on configuration errors.
+Every subcommand accepts --config (JSON file), --seed, --threads, --out and
+--format; outputs carry a header block with the resolved config, the seed
+and the package version.  A config file sets options by their flag names
+with dashes as underscores (n_paths for --n-paths); a flag given on the
+command line wins over the file.  Every value is converted and checked once,
+as argparse converts its flag.  Exit status: 0 when all pass flags are
+true, 1 when a check fails, 2 on usage and configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -41,6 +45,9 @@ from .observables import (
 )
 
 FORMATS = ("csv", "ndjson", "json")
+GEOMETRIES = ("chordal", "dipolar")
+B_CATALOGUE = 0.5  # B = beta sqrt(kappa) of the families classify lists by B
+POSITIVE = ("T", "dt", "t_max", "n_paths", "n_pairs", "n_samples", "threads")
 
 
 def _fmt(x):
@@ -52,8 +59,6 @@ def _fmt(x):
 
 
 def _parse_complex(s: str) -> complex:
-    if not isinstance(s, str):
-        raise ConfigError(f"complex numbers are given as strings, not {s!r}")
     try:
         return complex(s.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
@@ -88,60 +93,89 @@ def _emit(rows, config, out_path, fmt):
                 lines.append(",".join(_fmt(r[c]) for c in cols))
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """JSON config file merged under explicit flags (flags win)."""
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"bad config file: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-    merged = dict(parser_defaults)
-    merged.update(cfg)
-    for key, val in vars(args).items():
-        if key in ("config", "func") or val is None:
-            continue
-        if key not in parser_defaults or val != parser_defaults[key]:
-            merged[key] = val
-    merged.pop("config", None)
-    merged.pop("func", None)
-    return merged
+def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors
+        raise ConfigError(f"bad config file: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return cfg
+
+
+def _convert(options: dict, key: str, value):
+    """One value of the merged config, converted and checked as its flag."""
+    if key not in options:
+        raise ConfigError(f"unknown option {key!r}")
+    kind, default = options[key]
+    if value is None and default is None:
+        return None
+    if kind is list:
+        # a config file may name one point without a list
+        value = [value] if isinstance(value, str) else value
+        if not (isinstance(value, list)
+                and all(isinstance(v, str) for v in value)):
+            raise ConfigError(f"{key} must be a string or a list of strings")
+        return value
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string")
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}")
+        return value
+    try:
+        value = kind(str(value))
+    except ValueError as exc:
+        raise ConfigError(f"invalid {kind.__name__} {key}: {value!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite")
+    if key in POSITIVE and value <= 0:
+        raise ConfigError(f"{key} must be positive")
+    if key == "seed" and value < 0:
+        raise ConfigError("seed must not be negative")
+    return value
+
+
+def _merge_config(options: dict, path, flags: dict) -> dict:
+    """Defaults under the config file under the flags given, all converted."""
+    merged = {key: default for key, (_, default) in options.items()}
+    if path is not None:
+        merged.update(_load_config(path))
+    merged.update(flags)
+    return {key: _convert(options, key, val) for key, val in merged.items()}
 
 
 def _require_seed(cfg):
-    if cfg.get("seed") is None:
+    if cfg["seed"] is None:
         raise ConfigError("stochastic commands need --seed")
-    return int(cfg["seed"])
-
-
-def _positive(cfg, *names):
-    for nm in names:
-        if nm in cfg and cfg[nm] is not None and float(cfg[nm]) <= 0:
-            raise ConfigError(f"{nm} must be positive")
+    return cfg["seed"]
 
 
 # -- subcommand bodies ---------------------------------------------------------
 
 
 def _cmd_classify(cfg):
-    kappa = float(cfg["kappa"])
+    kappa = cfg["kappa"]
     rows = []
     ok = True
     for spec in enumerate_families(kappa):
         try:
             if spec.parameter == "alpha":
-                b, al, B = spec.coefficients(alpha=float(cfg["alpha"]))
+                b, al, B = spec.coefficients(alpha=cfg["alpha"])
             else:
-                b, al, B = spec.coefficients(B=float(cfg.get("B", 0.5)))
+                b, al, B = spec.coefficients(B=B_CATALOGUE)
         except SlitflowError as exc:
             rows.append({"family": spec.name, "note": str(exc)})
             continue
@@ -164,12 +198,11 @@ def _cmd_classify(cfg):
 
 def _cmd_check_identities(cfg):
     seed = _require_seed(cfg)
-    _positive(cfg, "n_pairs")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    kappa = float(cfg["kappa"])
+    kappa = cfg["kappa"]
     rows = []
     # Hadamard closed forms on random pairs
-    n = int(cfg["n_pairs"])
+    n = cfg["n_pairs"]
     z1 = rng.uniform(-3, 3, n) + 1j * rng.uniform(0.2, 3, n)
     z2 = rng.uniform(-3, 3, n) + 1j * rng.uniform(0.2, 3, n)
     sig_f = FieldCoeffs.sigma_field(0.3, -0.2)
@@ -190,7 +223,7 @@ def _cmd_check_identities(cfg):
     pts = rng.uniform(-2.5, 2.5, 100) + 1j * rng.uniform(0.3, 3, 100)
     for spec in enumerate_families(kappa):
         try:
-            model = spec.instantiate(alpha=float(cfg["alpha"]))
+            model = spec.instantiate(alpha=cfg["alpha"])
             u = build_u(model)
         except SlitflowError as exc:
             rows.append({"check": f"annihilation-{spec.name}",
@@ -208,14 +241,10 @@ def _cmd_check_identities(cfg):
 
 def _cmd_simulate(cfg):
     seed = _require_seed(cfg)
-    _positive(cfg, "T", "dt", "n_paths")
-    model = _family_model(cfg["geometry"], float(cfg["kappa"]),
-                          float(cfg["alpha"]))
+    model = _family_model(cfg["geometry"], cfg["kappa"], cfg["alpha"])
     pts = [_parse_complex(s) for s in cfg["z"]]
-    res = simulate_ensemble(
-        model, pts, int(cfg["n_paths"]), float(cfg["T"]), float(cfg["dt"]),
-        seed,
-    )
+    res = simulate_ensemble(model, pts, cfg["n_paths"], cfg["T"], cfg["dt"],
+                            seed)
     rows = []
     for i in range(res.w.shape[0]):
         for j, z in enumerate(res.points):
@@ -231,11 +260,9 @@ def _cmd_simulate(cfg):
 
 def _cmd_verify_martingales(cfg):
     seed = _require_seed(cfg)
-    _positive(cfg, "T", "dt", "n_paths")
     reports = martingale_suite(
-        cfg["geometry"], float(cfg["kappa"]), float(cfg["alpha"]),
-        n_paths=int(cfg["n_paths"]), T=float(cfg["T"]), dt=float(cfg["dt"]),
-        seed=seed,
+        cfg["geometry"], cfg["kappa"], cfg["alpha"],
+        n_paths=cfg["n_paths"], T=cfg["T"], dt=cfg["dt"], seed=seed,
     )
     rows = [r.csv_row() for r in reports]
     return rows, all(r.passed for r in reports)
@@ -243,12 +270,10 @@ def _cmd_verify_martingales(cfg):
 
 def _cmd_gff_couple(cfg):
     seed = _require_seed(cfg)
-    _positive(cfg, "T", "dt", "n_samples")
     res = run_coupling(
-        n_samples=int(cfg["n_samples"]), T=float(cfg["T"]),
-        dt=float(cfg["dt"]), seed=seed,
-        bump=TestFn(_parse_complex(cfg["center"]), float(cfg["radius"])),
-        threads=int(cfg.get("threads") or 1),
+        n_samples=cfg["n_samples"], T=cfg["T"], dt=cfg["dt"], seed=seed,
+        bump=TestFn(_parse_complex(cfg["center"]), cfg["radius"]),
+        threads=cfg["threads"],
     )
     ks_stat, ks_crit = res.ks()
     mean_ok = abs(res.mean - res.mean_target) < 3.0 * res.se
@@ -266,14 +291,13 @@ def _cmd_gff_couple(cfg):
 
 def _cmd_cardy_zhan(cfg):
     seed = _require_seed(cfg)
-    _positive(cfg, "t_max", "dt", "n_paths")
     rows = []
     ok = True
     for zs in cfg["z"]:
         res = cardy_zhan(
-            float(cfg["kappa"]), float(cfg["alpha"]), _parse_complex(zs),
-            n_paths=int(cfg["n_paths"]), t_max=float(cfg["t_max"]),
-            dt=float(cfg["dt"]), seed=seed,
+            cfg["kappa"], cfg["alpha"], _parse_complex(zs),
+            n_paths=cfg["n_paths"], t_max=cfg["t_max"], dt=cfg["dt"],
+            seed=seed,
         )
         ok = ok and res.passed
         rows.append({
@@ -292,7 +316,7 @@ def _cmd_sc_residual(cfg):
     ok = True
     for zs in cfg["z"]:
         z = _parse_complex(zs)
-        res = bpz_sc_residual(float(cfg["kappa"]), float(cfg["alpha"]), z)
+        res = bpz_sc_residual(cfg["kappa"], cfg["alpha"], z)
         passed = res["map_residual"] < 1e-8 and res["vertex_residual"] < 1e-8
         ok = ok and passed
         rows.append({
@@ -306,113 +330,79 @@ def _cmd_sc_residual(cfg):
 
 # -- parser --------------------------------------------------------------------
 
-
-def _add_common(sp):
-    sp.add_argument("--config", default=None, help="JSON config file")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=FORMATS, default="csv")
+# Per subcommand: body, help, and each option's dest -> (type, default).  A
+# tuple type is the option's choices, list a repeatable string.  The parser
+# is built from this table, and _merge_config converts every value with it.
+COMMON = {
+    "seed": (int, None),
+    "threads": (int, 1),
+    "out": (str, None),
+    "format": (FORMATS, "csv"),
+}
+COMMANDS = {
+    "classify": (_cmd_classify, "family catalogue", {
+        "kappa": (float, 4.0), "alpha": (float, 0.0),
+    }),
+    "check-identities": (_cmd_check_identities, "closed-form residuals", {
+        "kappa": (float, 4.0), "alpha": (float, 0.0), "n_pairs": (int, 1000),
+    }),
+    "simulate": (_cmd_simulate, "flow ensemble dump", {
+        "kappa": (float, 4.0), "alpha": (float, 0.0),
+        "geometry": (GEOMETRIES, "chordal"), "z": (list, ["1i"]),
+        "T": (float, 0.1), "dt": (float, 1e-3), "n_paths": (int, 8),
+    }),
+    "verify-martingales": (_cmd_verify_martingales, "drift-test suite", {
+        "kappa": (float, 4.0), "alpha": (float, 0.0),
+        "geometry": (GEOMETRIES, "chordal"),
+        "T": (float, 0.3), "dt": (float, 1e-4), "n_paths": (int, 10_000),
+    }),
+    "gff-couple": (_cmd_gff_couple, "flow/field coupling statistics", {
+        "n_samples": (int, 5000), "T": (float, 0.25), "dt": (float, 2.5e-4),
+        "center": (str, "1.5i"), "radius": (float, 0.3),
+    }),
+    "cardy-zhan": (_cmd_cardy_zhan, "hitting-probability table", {
+        "kappa": (float, 6.0), "alpha": (float, 0.0),
+        "z": (list, ["1.5708i"]), "n_paths": (int, 20_000),
+        "t_max": (float, 30.0), "dt": (float, 2e-4),
+    }),
+    "sc-residual": (_cmd_sc_residual, "triangle-map ODE residuals", {
+        "kappa": (float, 6.0), "alpha": (float, 0.0),
+        "z": (list, ["0.5+0.5i", "2i"]),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="slitflow")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("classify", help="family catalogue")
-    sp.add_argument("--kappa", type=float, default=4.0)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("check-identities", help="closed-form residuals")
-    sp.add_argument("--kappa", type=float, default=4.0)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--n-pairs", dest="n_pairs", type=int, default=1000)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_check_identities)
-
-    sp = sub.add_parser("simulate", help="flow ensemble dump")
-    sp.add_argument("--kappa", type=float, default=4.0)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--geometry", choices=("chordal", "dipolar"),
-                    default="chordal")
-    sp.add_argument("--z", action="append", default=None,
-                    help="seed point, repeatable (e.g. 0.5+1.2i)")
-    sp.add_argument("--T", type=float, default=0.1)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--n-paths", dest="n_paths", type=int, default=8)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("verify-martingales", help="drift-test suite")
-    sp.add_argument("--kappa", type=float, default=4.0)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--geometry", choices=("chordal", "dipolar"),
-                    default="chordal")
-    sp.add_argument("--T", type=float, default=0.3)
-    sp.add_argument("--dt", type=float, default=1e-4)
-    sp.add_argument("--n-paths", dest="n_paths", type=int, default=10_000)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_verify_martingales)
-
-    sp = sub.add_parser("gff-couple", help="flow/field coupling statistics")
-    sp.add_argument("--n-samples", dest="n_samples", type=int, default=5000)
-    sp.add_argument("--T", type=float, default=0.25)
-    sp.add_argument("--dt", type=float, default=2.5e-4)
-    sp.add_argument("--center", default="1.5i")
-    sp.add_argument("--radius", type=float, default=0.3)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_gff_couple)
-
-    sp = sub.add_parser("cardy-zhan", help="hitting-probability table")
-    sp.add_argument("--kappa", type=float, default=6.0)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--z", action="append", default=None)
-    sp.add_argument("--n-paths", dest="n_paths", type=int, default=20_000)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=30.0)
-    sp.add_argument("--dt", type=float, default=2e-4)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_cardy_zhan)
-
-    sp = sub.add_parser("sc-residual", help="triangle-map ODE residuals")
-    sp.add_argument("--kappa", type=float, default=6.0)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--z", action="append", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_sc_residual)
-
+    for name, (_, help_text, options) in COMMANDS.items():
+        # an option left off the command line stays out of the namespace,
+        # so a flag given always wins over the config file
+        sp = sub.add_parser(name, help=help_text,
+                            argument_default=argparse.SUPPRESS)
+        for dest, (kind, _) in {**options, **COMMON}.items():
+            flag = "--" + dest.replace("_", "-")
+            if kind is list:
+                sp.add_argument(flag, action="append",
+                                help="point, repeatable (e.g. 0.5+1.2i)")
+            elif isinstance(kind, tuple):
+                sp.add_argument(flag, choices=kind)
+            else:
+                sp.add_argument(flag, type=kind)
+        sp.add_argument("--config", help="JSON config file")
     return ap
 
 
-_DEFAULT_Z = {
-    "simulate": ["1i"],
-    "cardy-zhan": ["1.5708i"],
-    "sc-residual": ["0.5+0.5i", "2i"],
-}
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    defaults = vars(ap.parse_args([args.command]))
-    defaults.pop("func")
+    flags = vars(build_parser().parse_args(argv))
+    command = flags.pop("command")
+    func, _, options = COMMANDS[command]
     try:
-        cfg = _merge_config(args, defaults)
-        cfg["command"] = args.command
-        threads = cfg.get("threads")
-        if threads is not None and (not isinstance(threads, int) or threads < 1):
-            raise ConfigError("threads must be a positive integer")
-        if args.command in _DEFAULT_Z:
-            if cfg.get("z") is None:
-                cfg["z"] = _DEFAULT_Z[args.command]
-            elif isinstance(cfg["z"], str):
-                # a config file may name one point without a list
-                cfg["z"] = [cfg["z"]]
-            elif not isinstance(cfg["z"], list):
-                raise ConfigError("z must be a string or a list of strings")
-        rows, ok = args.func(cfg)
-        _emit(rows, cfg, cfg.get("out"), cfg.get("format", "csv"))
+        cfg = _merge_config({**options, **COMMON}, flags.pop("config", None),
+                            flags)
+        cfg["command"] = command
+        rows, ok = func(cfg)
+        _emit(rows, cfg, cfg["out"], cfg["format"])
     except (ConfigError, DomainError, ParameterRangeError,
             SupportViolationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

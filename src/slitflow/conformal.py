@@ -1,8 +1,8 @@
 """Deterministic complex-analytic primitives.
 
-Green's function of the upper half-plane, Moebius automorphisms,
-strip <-> half-plane transport, the strip-to-triangle Schwarz-Christoffel
-map used by the exit-probability oracle, and barycentric coordinates.
+Green's function of the upper half-plane, the strip-to-triangle
+Schwarz-Christoffel map used by the exit-probability oracle, and
+barycentric coordinates.
 """
 
 from __future__ import annotations
@@ -48,85 +48,6 @@ def green_half_plane_grid(z1, z2):
     z1 = np.asarray(z1)
     z2 = np.asarray(z2)
     return np.log(np.abs(z1 - np.conj(z2))) - np.log(np.abs(z1 - z2))
-
-
-def green_pullback(w, z1: complex, z2: complex) -> float:
-    """Green's function pulled back through a conformal map ``w`` into the half-plane."""
-    w1 = w(z1)
-    w2 = w(z2)
-    if not (np.isfinite(w1.real) and np.isfinite(w1.imag)
-            and np.isfinite(w2.real) and np.isfinite(w2.imag)):
-        raise DomainError("conformal map undefined at input point")
-    return green_half_plane(w1, w2)
-
-
-@dataclass(frozen=True)
-class MobiusAut:
-    """Real Moebius automorphism z -> (a z + b) / (c z + d) of the upper half-plane.
-
-    Coefficients are normalized so that a d - b c = 1.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if det <= 0:
-            raise ParameterRangeError("Moebius determinant must be positive")
-        s = math.sqrt(det)
-        object.__setattr__(self, "a", self.a / s)
-        object.__setattr__(self, "b", self.b / s)
-        object.__setattr__(self, "c", self.c / s)
-        object.__setattr__(self, "d", self.d / s)
-
-    @staticmethod
-    def identity() -> "MobiusAut":
-        return MobiusAut(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def scaling(s: float) -> "MobiusAut":
-        if s <= 0:
-            raise ParameterRangeError("scaling factor must be positive")
-        return MobiusAut(s, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def translation(x: float) -> "MobiusAut":
-        return MobiusAut(1.0, x, 0.0, 1.0)
-
-    def __call__(self, z):
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def deriv(self, z):
-        return 1.0 / (self.c * z + self.d) ** 2
-
-    def compose(self, other: "MobiusAut") -> "MobiusAut":
-        """Composition self after other."""
-        return MobiusAut(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MobiusAut":
-        return MobiusAut(self.d, -self.b, -self.c, self.a)
-
-
-def strip_to_half_plane(z: complex) -> complex:
-    """Transport tanh(z/2) from the strip {0 < Im z < pi} onto the upper half-plane."""
-    y = z.imag if isinstance(z, complex) else float(np.imag(z))
-    if not (0.0 < y < math.pi):
-        raise DomainError(f"point not in the open strip: {z!r}")
-    return cmath.tanh(z / 2.0)
-
-
-def half_plane_to_strip(w: complex) -> complex:
-    """Inverse transport, 2 artanh(w)."""
-    require_upper_half_plane(w)
-    return cmath.log((1.0 + w) / (1.0 - w))
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ class OutsideTriangleError(SlitflowError):
     """Point lies outside the closed triangle beyond tolerance."""
 
 
-class ShapeViolationError(SlitflowError):
-    """A pushed-forward vector field does not have the normalized Laurent shape."""
-
-
 class FiniteDifferenceError(SlitflowError):
     """Finite-difference estimates disagree across step sizes beyond tolerance."""
 
@@ -35,10 +31,6 @@ class PoleError(SlitflowError):
 
 class BranchObstructionError(SlitflowError):
     """No continuous branch of the harmonic observable exists on the upper half-plane."""
-
-
-class NeutralityError(SlitflowError):
-    """Charge vector violates the zero-total-charge requirement."""
 
 
 class BranchPointError(SlitflowError):

@@ -5,10 +5,9 @@ The two field shapes are
     b(z) = -(2/z + b_{-1} + b_0 z + b_1 z^2),
     sigma(z) = -(1 + sigma_0 z + sigma_1 z^2),
 
-with real coefficients.  This module evaluates them, computes Lie
-derivatives of conformal fields (numerically and in closed form on the
-half-plane Green's function), classifies sigma by its fixed-point
-geometry, and pushes fields forward under Moebius automorphisms.
+with real coefficients.  This module evaluates them and computes Lie
+derivatives of conformal fields, numerically and in closed form on the
+half-plane Green's function.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .conformal import MobiusAut, green_half_plane
+from .conformal import green_half_plane
 from .errors import (
     CoincidentPointsError,
     FiniteDifferenceError,
     ParameterRangeError,
     PoleError,
-    ShapeViolationError,
 )
 
 H_FD_SCALE = 1e-5
@@ -103,31 +101,13 @@ def eval_field_prime(c: FieldCoeffs, z):
 
 @dataclass(frozen=True)
 class ConformalWeight:
-    """Transformation weight of a conformal field.
+    """Transformation weight (lambda, lambda_*) of a conformal differential."""
 
-    Exactly one of the two modes is active: a (lambda, lambda_*)-differential
-    or an additive log-derivative form of order mu.
-    """
-
-    mode: str  # 'differential' or 'ppschwarzian'
-    lam: complex = 0.0
-    lam_star: complex = 0.0
-    mu: complex = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("differential", "ppschwarzian"):
-            raise ParameterRangeError(f"unknown weight mode {self.mode!r}")
-
-    @staticmethod
-    def differential(lam=0.0, lam_star=0.0) -> "ConformalWeight":
-        return ConformalWeight("differential", lam=lam, lam_star=lam_star)
-
-    @staticmethod
-    def ppschwarzian(mu) -> "ConformalWeight":
-        return ConformalWeight("ppschwarzian", mu=mu)
+    lam: complex
+    lam_star: complex
 
 
-SCALAR = ConformalWeight.differential(0.0, 0.0)
+SCALAR = ConformalWeight(0.0, 0.0)
 
 
 def _wirtinger(f: Callable, nodes: tuple, k: int, h: float):
@@ -182,11 +162,8 @@ def lie_derivative(
             )
         vk = v_val(z)
         vpk = v_prime(z)
-        if wt.mode == "differential":
-            total += vk * d2 + np.conj(vk) * db2
-            total += (wt.lam * vpk + wt.lam_star * np.conj(vpk)) * f0
-        else:
-            total += vk * d2 + np.conj(vk) * db2 + wt.mu * vpk
+        total += vk * d2 + np.conj(vk) * db2
+        total += (wt.lam * vpk + wt.lam_star * np.conj(vpk)) * f0
     return total
 
 
@@ -214,92 +191,7 @@ def lie_green_closed(v, z1: complex, z2: complex) -> float:
     return float(np.real(val))
 
 
-@dataclass(frozen=True)
-class SigmaClass:
-    """Fixed-point class of a sigma-field with its discriminant."""
-
-    tag: str
-    discriminant: float
-
-
-def sigma_classify(sigma: FieldCoeffs) -> SigmaClass:
-    """Classify sigma by the zeros of 1 + sigma_0 z + sigma_1 z^2 on the boundary.
-
-    Two distinct real zeros (counting infinity): hyperbolic; a conjugate
-    pair off the axis: elliptic; a double zero or a single zero at infinity:
-    parabolic.
-    """
-    if sigma.kind != "sigma":
-        raise ParameterRangeError("expected a sigma-field")
-    s0, s1 = float(sigma.c1), float(sigma.c2)
-    disc = s0 * s0 - 4.0 * s1
-    if s1 != 0.0:
-        if disc > 0.0:
-            tag = "hyperbolic"
-        elif disc < 0.0:
-            tag = "elliptic"
-        else:
-            tag = "parabolic"
-    elif s0 != 0.0:
-        tag = "hyperbolic"
-    else:
-        tag = "parabolic"
-    return SigmaClass(tag, disc)
-
-
-_PUSH_SAMPLES = np.array(
-    [0.3 + 0.4j, -0.7 + 0.9j, 1.3 + 0.2j, -1.1 + 1.7j, 0.2 + 2.3j,
-     2.1 + 0.8j, -2.4 + 0.5j, 0.9 + 1.1j, -0.4 + 0.3j, 1.7 + 1.9j,
-     -1.9 + 1.2j, 0.6 + 0.7j]
-)
-
-
-def pushforward(phi: MobiusAut, v: FieldCoeffs) -> FieldCoeffs:
-    """Pushforward phi_* v, renormalized to the standard field shape.
-
-    The image field phi'(phi^{-1}(z)) v(phi^{-1}(z)) is fitted to the Laurent
-    basis {1/z, 1, z, z^2, z^3}.  A positive overall factor (a time change)
-    is divided out so that the leading normalization (-2/z for b-fields, -1
-    for sigma-fields) is restored; any residual outside the shape raises
-    ShapeViolationError.
-    """
-    inv = phi.inverse()
-    zs = _PUSH_SAMPLES
-    pre = inv(zs)
-    vals = phi.deriv(pre) * eval_field(v, pre)
-    basis = np.stack([1.0 / zs, np.ones_like(zs), zs, zs ** 2, zs ** 3], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
-    resid = np.max(np.abs(basis @ coef - vals))
-    if resid > 1e-9 or abs(coef[4]) > 1e-9:
-        raise ShapeViolationError("pushforward leaves the normalized field class")
-    if np.max(np.abs(coef.imag)) > 1e-9:
-        raise ShapeViolationError("pushforward produced non-real coefficients")
-    coef = coef.real
-    if v.kind == "b":
-        scale = coef[0] / -2.0
-        if scale <= 0:
-            raise ShapeViolationError("image field is not a normalized b-field")
-        return FieldCoeffs("b", -coef[1] / scale, -coef[2] / scale, -coef[3] / scale)
-    scale = -coef[1]
-    if scale <= 0 or abs(coef[0]) > 1e-12:
-        raise ShapeViolationError("image field is not a normalized sigma-field")
-    return FieldCoeffs("sigma", -coef[2] / scale, -coef[3] / scale)
-
-
 def green_as_sampler(nodes: tuple) -> float:
     """Adapter exposing G_H as a two-node sampler for lie_derivative."""
     return green_half_plane(nodes[0], nodes[1])
 
-
-def ell_field(n: int):
-    """The Laurent generator ell_n(z) = -z^(n+1) as a (value, derivative) pair."""
-    if not -2 <= n <= 1:
-        raise ParameterRangeError("ell_n defined for n in {-2,...,1}")
-
-    def val(z):
-        return -(z ** (n + 1))
-
-    def prime(z):
-        return -(n + 1) * z ** n if n != -1 else 0.0 * z
-
-    return val, prime

@@ -1,9 +1,9 @@
 """Time-discretized simulation of slit flows.
 
-Driving processes, one adaptive RK4 driver for the noise-free chordal and
-strip Loewner equations, the backward (inverse-map) flow, and the
-vectorized Euler-Maruyama ensemble for the general flow SDE with derivative
-tracking through log w'.  The ensemble folds the Ito drifts of (w, log w')
+Driving paths, adaptive RK4 solvers for the noise-free chordal Loewner
+equation and its backward (inverse-map) flow, and the vectorized
+Euler-Maruyama ensemble for the general flow SDE with derivative tracking
+through log w'.  The ensemble folds the Ito drifts of (w, log w')
 into one fixed Laurent polynomial each per model and steps the real and
 imaginary parts of the state in preallocated float arrays.
 """
@@ -46,7 +46,7 @@ def _n_steps(T: float, dt: float) -> int:
 
 @dataclass(frozen=True)
 class DrivingPath:
-    """A sampled driving process xi_t = sqrt(kappa) B_t + alpha t."""
+    """A driving process xi_t = sqrt(kappa) B_t + alpha t sampled on a uniform grid."""
 
     kappa: float
     alpha: float
@@ -61,22 +61,6 @@ class DrivingPath:
     def xi_at(self, t: float) -> float:
         """Linear interpolation between grid points."""
         return float(np.interp(t, self.times, self.values))
-
-
-def sample_driving(kappa: float, alpha: float, T: float, dt: float,
-                   seed) -> DrivingPath:
-    """Sample a driving path on a uniform grid from a 64-bit seed or a Generator."""
-    n = _n_steps(T, dt)
-    times = dt * np.arange(n + 1)
-    rng = seed
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-    db = rng.standard_normal(n) * math.sqrt(dt)
-    values = np.empty(n + 1)
-    values[0] = 0.0
-    np.cumsum(math.sqrt(kappa) * db, out=values[1:])
-    values[1:] += alpha * times[1:]
-    return DrivingPath(kappa, alpha, dt, times, values)
 
 
 def zero_driving(kappa: float, alpha: float, T: float, dt: float) -> DrivingPath:
@@ -122,16 +106,16 @@ def _rk4_segment(f, y, t0, t1, sing_dist):
     return y, True
 
 
-def _loewner(driving: DrivingPath, z0: complex, field, im_max: float) -> FlowPath:
-    """Solve dg/dt = v(g - xi_t) at a single point of {0 < Im z < im_max}.
+def chordal_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
+    """Solve the chordal Loewner ODE dg/dt = 2/(g - xi_t) at a point of the
+    upper half-plane.
 
-    field(Z) returns (v(Z), v'(Z)); the state (g, log g') is advanced by
-    adaptive RK4 with the driving path linearly interpolated between grid
-    points.  Samples of Z_t = g_t - xi_t and log g'_t are returned on the grid.
+    The state (g, log g') is advanced by adaptive RK4 with the driving path
+    linearly interpolated between grid points.  Samples of w_t = g_t - xi_t
+    and log g'_t are returned on the grid.
     """
     z0 = complex(z0)
-    if not 0.0 < z0.imag < im_max:
-        raise DomainError(f"seed point must satisfy 0 < Im z < {im_max}: {z0}")
+    require_upper_half_plane(z0)
     times, xi = driving.times, driving.values
     n = len(times) - 1
     w_arr = np.full(n + 1, np.nan + 0j)
@@ -148,7 +132,8 @@ def _loewner(driving: DrivingPath, z0: complex, field, im_max: float) -> FlowPat
 
     for i in range(n):
         def rhs(t, y, i=i):
-            return np.array(field(y[0] - xi_lin(t, i)), dtype=complex)
+            z = y[0] - xi_lin(t, i)
+            return np.array((2.0 / z, -2.0 / (z * z)), dtype=complex)
 
         def dist(y, i=i):
             # worst-case distance to xi over the segment is what matters;
@@ -160,44 +145,11 @@ def _loewner(driving: DrivingPath, z0: complex, field, im_max: float) -> FlowPat
         if not ok or abs(w) < EPS_SWALLOW:
             swallow = float(times[i + 1])
             break
-        if not 0.0 <= y[0].imag <= im_max + 1e-9:
+        if not y[0].imag >= 0.0:
             raise StepExplosionError("Loewner solution left its domain")
         w_arr[i + 1] = w
         lp_arr[i + 1] = y[1]
     return FlowPath(z0, times, w_arr, lp_arr, swallow)
-
-
-def _chordal_field(z):
-    return 2.0 / z, -2.0 / (z * z)
-
-
-def chordal_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
-    """Solve the chordal Loewner ODE dg/dt = 2/(g - xi_t) at a point of the
-    upper half-plane; samples w_t = g_t - xi_t and log g'_t on the grid."""
-    return _loewner(driving, z0, _chordal_field, math.inf)
-
-
-def coth_half(z: complex) -> complex:
-    """coth(z/2) in a form stable for large |Re z| and for tiny |z|."""
-    x, y = z.real, z.imag
-    if abs(x) > 40.0:
-        return complex(math.copysign(1.0, x), 0.0)
-    # cancellation-free form of cosh(x) - cos(y); the naive difference
-    # rounds to exactly zero once |z| drops below ~1e-8
-    den = 2.0 * (math.sinh(0.5 * x) ** 2 + math.sin(0.5 * y) ** 2)
-    return complex(math.sinh(x) / den, -math.sin(y) / den)
-
-
-def _dipolar_field(z):
-    c = coth_half(z)
-    # d/dZ coth(Z/2) = -1/(2 sinh^2(Z/2)) = (1 - coth^2(Z/2))/2
-    return c, 0.5 * (1.0 - c * c)
-
-
-def dipolar_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
-    """Solve the strip Loewner ODE dg/dt = coth((g - xi_t)/2) at a point of
-    the strip {0 < Im z < pi}; samples Z_t = g_t - xi_t and log g'_t."""
-    return _loewner(driving, z0, _dipolar_field, math.pi)
 
 
 def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:

@@ -2,9 +2,8 @@
 
 Drift tests of u_t, the two-point martingale and the vertex observables
 along chordal and dipolar flows, the quadratic-variation law for paired
-test functions, vertex correlation functions with neutral charge vectors,
-hypergeometric-map residual identities, the triangle hitting-probability
-experiment, and the flow/field coupling ensemble.
+test functions, hypergeometric-map residual identities, the triangle
+hitting-probability experiment, and the flow/field coupling ensemble.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .conformal import green_half_plane_grid, sc_map_build
 from .errors import (
     BranchPointError,
     DomainError,
-    NeutralityError,
     OutsideTriangleError,
     ParameterRangeError,
 )
@@ -34,143 +32,10 @@ from .gff import (
 )
 from .stats import drift_test, ks_normality
 
-NEUTRALITY_TOL = 1e-12
 ESCAPE_RE = 20.0
 T_MAX_DEFAULT = 30.0
 C_SING_STRIP = 5e-3  # cardy_zhan step clamp: h = min(dt, C_SING_STRIP |Z|^2)
 VERTEX_TOL = 0.95  # a leftover with no exit probability above this is ambiguous
-
-
-# -- deterministic one-point functions ----------------------------------------
-
-
-def phi_hat_one_point(kind: str, kappa: float, alpha: float, z,
-                      q: float = 1.0) -> float:
-    """Expected value of the drift-adapted field at z in the identity chart.
-
-    kind 'chordal': 2a arg z + alpha a Im z.
-    kind 'dipolar': marked points at -1, +1 with delta = alpha a.
-    kind 'marked': marked points at -q, +q with delta = (alpha a / 2) q;
-    converges pointwise to the chordal value as q -> infinity.
-
-    No command reads it: it is the paper's closed-form one-point function,
-    kept with the tests that check its chordal limit and reflection symmetry.
-    """
-    z = complex(z)
-    cft = CftParams(kappa)
-    a, bb = cft.a, cft.bb
-    if z == 0:
-        raise BranchPointError("one-point function has a branch point at 0")
-    if kind == "chordal":
-        return 2.0 * a * np.angle(z) + alpha * a * z.imag
-    if kind == "dipolar":
-        if z in (1.0, -1.0):
-            raise BranchPointError("branch point at the marked points")
-        delta = alpha * a
-        return (
-            2.0 * a * np.angle(z)
-            - (a - delta) * np.angle(1.0 + z)
-            - (a + delta) * np.angle(1.0 - z)
-            + 2.0 * bb * np.angle(1.0 - z * z)
-        )
-    if kind == "marked":
-        if z in (q, -q):
-            raise BranchPointError("branch point at the marked points")
-        delta = 0.5 * alpha * a * q
-        return (
-            2.0 * a * np.angle(z)
-            - (a + delta) * np.angle(q - z)
-            - (a - delta) * np.angle(q + z)
-            + 2.0 * bb * np.angle(1.0 - (z / q) ** 2)
-        )
-    raise ParameterRangeError(f"unknown one-point kind {kind!r}")
-
-
-# -- vertex correlation functions ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChargeVector:
-    """Boundary/bulk charge data (tau, tau*, tau-, tau+) with spin offset delta.
-
-    Node locations are fixed at z (bulk), -1 and +1 in the half-plane chart.
-    """
-
-    tau: float
-    tau_star: float
-    tau_minus: float
-    tau_plus: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        total = self.tau + self.tau_star + self.tau_minus + self.tau_plus
-        if abs(total) > NEUTRALITY_TOL:
-            raise NeutralityError(f"charges sum to {total}, not zero")
-
-    def exponents(self, cft: CftParams, inserted: bool = False) -> dict:
-        """All scaling exponents of the product formula."""
-        a, bb = cft.a, cft.bb
-        t, ts, tm, tp = self.tau, self.tau_star, self.tau_minus, self.tau_plus
-        out = {
-            "lam": 0.5 * t * t - t * bb,
-            "lam_star": 0.5 * ts * ts - ts * bb,
-            "tau_tau_star": t * ts,
-        }
-        if inserted:
-            dp, dm = a + self.delta, a - self.delta
-            out.update(
-                lam_plus=0.5 * (tp * tp - dp * tp),
-                lam_minus=0.5 * (tm * tm - dm * tm),
-                nu_plus=t * (bb - 0.5 * dp + tp),
-                nu_minus=t * (bb - 0.5 * dm + tm),
-                nu_star_plus=ts * (bb - 0.5 * dp + tp),
-                nu_star_minus=ts * (bb - 0.5 * dm + tm),
-                pow_w=t * a,
-                pow_wbar=ts * a,
-            )
-        else:
-            out.update(
-                lam_plus=0.5 * tp * tp,
-                lam_minus=0.5 * tm * tm,
-                nu_plus=t * (bb + tp),
-                nu_minus=t * (bb + tm),
-                nu_star_plus=ts * (bb + tp),
-                nu_star_minus=ts * (bb + tm),
-                pow_w=0.0,
-                pow_wbar=0.0,
-            )
-        return out
-
-
-def vertex_correlation(charges: ChargeVector, kappa: float, z: complex,
-                       variant: str = "plain") -> complex:
-    """Product-formula correlation value in the identity chart of the half-plane.
-
-    All chart derivative factors are 1 for the identity chart; powers use
-    principal branches.  No command reads it (nor ChargeVector): it is the
-    paper's vertex correlation formula, kept with its symmetry tests.
-    """
-    z = complex(z)
-    if variant not in ("plain", "inserted"):
-        raise ParameterRangeError(f"unknown variant {variant!r}")
-    inserted = variant == "inserted"
-    if z in (1.0, -1.0) or (inserted and z == 0.0):
-        raise BranchPointError("correlation has a branch point here")
-    if z == z.conjugate():
-        raise BranchPointError("bulk node must be off the real line")
-    cft = CftParams(kappa)
-    e = charges.exponents(cft, inserted)
-    zb = z.conjugate()
-    log_val = (
-        e["nu_plus"] * np.log(1.0 - z)
-        + e["nu_minus"] * np.log(1.0 + z)
-        + e["nu_star_plus"] * np.log(1.0 - zb)
-        + e["nu_star_minus"] * np.log(1.0 + zb)
-        + e["tau_tau_star"] * np.log(z - zb)
-    )
-    if inserted:
-        log_val = log_val + e["pow_w"] * np.log(z) + e["pow_wbar"] * np.log(zb)
-    return complex(np.exp(log_val))
 
 
 # -- vertex observables along flows -------------------------------------------
@@ -553,8 +418,10 @@ def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
     support is touched by the hull before time T are flagged (and kept,
     with the count reported).  Chunks carry independent child seeds and are
     concatenated in a fixed order, so the result is byte-identical for any
-    pool size.
+    pool size.  The sample variance needs at least two samples.
     """
+    if n_samples < 2:
+        raise ParameterRangeError("run_coupling needs at least 2 samples")
     dom = RectDomain()
     bump = bump or TestFn(1.5j, 0.3)
     basis = eigen_basis(dom)

@@ -70,6 +70,9 @@ def test_bad_flag_value_exits_two(capsys):
         ["gff-couple", "--seed", "1", "--threads", "0"],
         ["gff-couple", "--seed", "1", "--threads", "-3"],
         ["classify", "--threads", "0"],
+        ["gff-couple", "--seed", "1", "--n-samples", "1"],
+        ["simulate", "--seed", "1", "--n-paths", "2",
+         "--out", "/nonexistent/x.csv"],
     ):
         assert main(argv) == 2, argv
         assert "config error" in capsys.readouterr().err
@@ -103,6 +106,38 @@ def test_config_file_merge_flags_win(tmp_path, capsys):
     assert header["kappa"] == 3          # flag overrides file
     assert header["alpha"] == 0.25       # file overrides default
     assert "threads" not in header       # runtime knob stripped
+    # a flag given wins even when it repeats its default
+    cfgf.write_text(json.dumps({"kappa": 6}))
+    assert main(["classify", "--config", str(cfgf), "--kappa", "4"]) == 0
+    out = capsys.readouterr().out
+    header = json.loads(out.splitlines()[1].removeprefix("# config "))
+    assert header["kappa"] == 4
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["simulate"], {"seed": 1, "T": "abc"}, "T"),
+    (["simulate"], {"seed": "x"}, "seed"),
+    (["simulate"], {"seed": 1, "n-paths": 3}, "n-paths"),
+    (["simulate"], {"seed": 1, "geometry": "radial"}, "geometry"),
+    (["simulate"], {"seed": 1, "n_paths": 2.7}, "n_paths"),
+    (["simulate"], {"seed": 1, "n_paths": True}, "n_paths"),
+    (["classify"], {"kappa": "x"}, "kappa"),
+    (["classify"], {"format": "xml"}, "format"),
+    (["classify"], {"B": 0.7}, "B"),
+    (["simulate", "--seed", "-1"], None, "seed"),
+    (["simulate", "--seed", "1", "--alpha", "nan"], None, "alpha"),
+])
+def test_bad_config_value_exits_two(tmp_path, capsys, argv, config, key):
+    # a config-file value is converted and checked as its flag would be;
+    # in process, a traceback would fail the test instead of returning 2
+    if config is not None:
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfgf)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error" in err and key in err
 
 
 @pytest.mark.parametrize("command", [
@@ -121,11 +156,14 @@ def test_config_file_string_z_is_one_point(tmp_path, capsys, command):
         assert "config error" in capsys.readouterr().err
 
 
-def test_config_file_invalid_json_exits_two(tmp_path):
+def test_config_file_invalid_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     proc = _run(["classify", "--config", str(bad)])
     assert proc.returncode == 2
+    bad.write_bytes(b"\xff\xfe{")  # not UTF-8
+    assert main(["classify", "--config", str(bad)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_sc_residual_passes(capsys):

@@ -1,4 +1,4 @@
-"""Conformal primitives: Green's function, Moebius maps, triangle map."""
+"""Conformal primitives: Green's function, barycentrics, triangle map."""
 
 import cmath
 import math
@@ -8,16 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slitflow.conformal import (
-    MobiusAut,
     ScMap,
     TriangleSpec,
     barycentric,
     green_half_plane,
     green_half_plane_grid,
-    green_pullback,
-    half_plane_to_strip,
     sc_map_build,
-    strip_to_half_plane,
 )
 from slitflow.errors import (
     CoincidentPointsError,
@@ -45,47 +41,6 @@ def test_green_grid_matches_scalar():
     grid = green_half_plane_grid(z1, z2)
     for k in range(2):
         assert grid[k] == pytest.approx(green_half_plane(z1[k], z2[k]))
-
-
-def test_green_pullback_contravariant():
-    phi = MobiusAut.scaling(2.0).compose(MobiusAut.translation(0.7))
-    z1, z2 = 0.4 + 0.9j, -1.1 + 1.6j
-    assert green_pullback(phi, z1, z2) == pytest.approx(
-        green_half_plane(phi(z1), phi(z2)), abs=1e-12
-    )
-    # pulling back through the inverse recovers the original value
-    assert green_pullback(phi.inverse(), phi(z1), phi(z2)) == pytest.approx(
-        green_half_plane(z1, z2), abs=1e-8
-    )
-
-
-def test_mobius_group_structure():
-    phi = MobiusAut(2.0, 1.0, 0.5, 1.0)
-    psi = MobiusAut(1.0, -0.4, 0.3, 1.2)
-    z = 0.3 + 0.8j
-    assert phi.compose(psi)(z) == pytest.approx(phi(psi(z)))
-    assert phi.inverse()(phi(z)) == pytest.approx(z)
-    ident = phi.compose(phi.inverse())
-    assert (ident.a, ident.b, ident.c, ident.d) == pytest.approx((1, 0, 0, 1))
-    with pytest.raises(ParameterRangeError):
-        MobiusAut(1.0, 0.0, 0.0, -1.0)
-
-
-def test_mobius_deriv_matches_fd():
-    phi = MobiusAut(2.0, 1.0, 0.5, 1.0)
-    z = 0.3 + 0.8j
-    h = 1e-6
-    fd = (phi(z + h) - phi(z - h)) / (2 * h)
-    assert phi.deriv(z) == pytest.approx(fd, rel=1e-8)
-
-
-def test_strip_transport_roundtrip():
-    z = 0.7 + 1.2j
-    w = strip_to_half_plane(z)
-    assert w.imag > 0
-    assert half_plane_to_strip(w) == pytest.approx(z)
-    with pytest.raises(DomainError):
-        strip_to_half_plane(1.0 + 4.0j)
 
 
 def test_barycentric_identity_at_vertices_and_center():

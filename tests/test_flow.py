@@ -12,10 +12,7 @@ from slitflow.fields import eval_field, eval_field_prime
 from slitflow.flow import (
     DrivingPath,
     chordal_loewner,
-    coth_half,
-    dipolar_loewner,
     inverse_map,
-    sample_driving,
     simulate_ensemble,
     zero_driving,
 )
@@ -25,6 +22,15 @@ from slitflow.observables import MARTINGALE_POINTS, _family_model
 def _chordal_model(kappa=4.0, alpha=0.0):
     fams = {f.name: f for f in enumerate_families(kappa)}
     return fams["chordal-drift"].instantiate(alpha=alpha)
+
+
+def _brownian_driving(kappa, alpha, T, dt, seed):
+    """xi_t = sqrt(kappa) B_t + alpha t sampled on the grid 0, dt, ..., T."""
+    n = round(T / dt)
+    times = dt * np.arange(n + 1)
+    steps = np.random.default_rng(seed).standard_normal(n) * math.sqrt(kappa * dt)
+    values = np.concatenate(([0.0], np.cumsum(steps))) + alpha * times
+    return DrivingPath(kappa, alpha, dt, times, values)
 
 
 def test_zero_driving_chordal_matches_closed_form():
@@ -43,7 +49,7 @@ def test_zero_driving_inverse_map_closed_form():
 
 
 def test_inverse_map_round_trips_forward_map():
-    drv = sample_driving(4.0, 0.0, 0.2, 1e-3, seed=9)
+    drv = _brownian_driving(4.0, 0.0, 0.2, 1e-3, seed=9)
     path = chordal_loewner(drv, 0.4 + 1.3j)
     g_T = path.w[path.last_alive_index()] + drv.values[-1]
     back = inverse_map(drv, g_T, drv.horizon)
@@ -58,52 +64,24 @@ def test_capacity_normalization_far_point():
 
 
 def test_chordal_loewner_with_noise_keeps_half_plane():
-    drv = sample_driving(6.0, 0.0, 0.5, 1e-3, seed=11)
+    drv = _brownian_driving(6.0, 0.0, 0.5, 1e-3, seed=11)
     path = chordal_loewner(drv, 0.5 + 1.2j)
     live = path.w[: path.last_alive_index() + 1]
     assert np.all(live.imag > 0)
 
 
 def test_driving_path_shape_and_interp():
-    drv = sample_driving(4.0, 0.5, 0.2, 1e-2, seed=3)
+    drv = _brownian_driving(4.0, 0.5, 0.2, 1e-2, seed=3)
     assert drv.horizon == pytest.approx(0.2)
     assert drv.values[0] == 0.0
     assert drv.xi_at(0.015) == pytest.approx(
         0.5 * (drv.values[1] + drv.values[2])
     )
     with pytest.raises(ParameterRangeError):
-        sample_driving(4.0, 0.0, 1.0, 2.0, seed=0)
+        zero_driving(4.0, 0.0, 1.0, 2.0)
     # a step that does not divide the horizon would silently stop short of T
     with pytest.raises(ParameterRangeError):
         zero_driving(4.0, 0.0, 0.1, 0.07)
-
-
-def test_coth_half_scalar_and_grid_agree():
-    # the scalar form against numpy's coth evaluated on the whole grid
-    zs = np.array([0.3 + 0.4j, -1.2 + 2.0j, 5.0 + 0.1j, 50.0 + 1.0j])
-    grid = 1.0 / np.tanh(0.5 * zs)
-    for z, g in zip(zs, grid):
-        assert g == pytest.approx(coth_half(complex(z)), rel=1e-12)
-
-
-def test_coth_half_stable_at_tiny_arguments():
-    # the naive cosh - cos denominator rounds to zero below |z| ~ 1e-8
-    z = 4e-9 + 6e-12j
-    got = coth_half(z)
-    assert math.isfinite(got.real) and math.isfinite(got.imag)
-    assert got == pytest.approx(2.0 / z, rel=1e-6)
-
-
-def test_dipolar_loewner_zero_driving_closed_form():
-    # on the imaginary axis dZ/dt = coth(iy/2) = -i cot(y/2), which
-    # integrates to cos(y_t / 2) = cos(y_0 / 2) exp(t / 2)
-    T = 0.2
-    drv = zero_driving(6.0, 0.0, T, 1e-3)
-    path = dipolar_loewner(drv, 0.0 + 1.0j)
-    w_T = path.w[path.last_alive_index()]
-    y_exact = 2.0 * math.acos(math.cos(0.5) * math.exp(T / 2.0))
-    assert abs(w_T.real) < 1e-9
-    assert w_T.imag == pytest.approx(y_exact, abs=1e-6)
 
 
 def test_ensemble_rejects_lower_half_plane():

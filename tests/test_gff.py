@@ -1,4 +1,5 @@
-"""Free-field sampler, Green evaluators, and energy quadratures."""
+"""Free-field sampler and energy quadratures, checked against the reference
+Green evaluators in green_reference."""
 
 import math
 
@@ -8,16 +9,15 @@ import pytest
 from slitflow.errors import ParameterRangeError, SupportViolationError
 from slitflow.gff import (
     EigenBasis,
-    HalfPlaneGreenEval,
     RectDomain,
-    RectGreenEval,
     cell_log_avg,
     eigen_basis,
     energy_from_map,
-    energy_product,
     patch_from_testfn,
 )
 from slitflow.gff import TestFn as Bump
+
+from green_reference import HalfPlaneGreenEval, RectGreenEval, energy_product
 
 DOM = RectDomain()
 BASIS = eigen_basis(DOM)

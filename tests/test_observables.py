@@ -1,4 +1,4 @@
-"""One-point functions, vertex observables, and the stochastic checks."""
+"""Vertex observables along flows and the stochastic checks."""
 
 import cmath
 import math
@@ -7,114 +7,15 @@ import numpy as np
 import pytest
 
 from slitflow.classify import CftParams, build_u, enumerate_families
-from slitflow.errors import (
-    BranchPointError,
-    NeutralityError,
-    ParameterRangeError,
-)
 from slitflow.flow import chordal_loewner, zero_driving
 from slitflow.gff import RectDomain, TestFn, patch_from_testfn
 from slitflow.observables import (
-    ChargeVector,
     cardy_zhan,
     chordal_vertex_log,
     dipolar_vertex_log,
-    phi_hat_one_point,
     qv_check,
     run_coupling,
-    vertex_correlation,
 )
-
-
-# -- one-point functions -------------------------------------------------------
-
-
-def test_phi_hat_chordal_values():
-    a = CftParams(4.0).a
-    assert phi_hat_one_point("chordal", 4.0, 0.0, 1j) == pytest.approx(
-        2.0 * a * math.pi / 2.0
-    )
-    assert phi_hat_one_point("chordal", 4.0, 0.7, 2j) == pytest.approx(
-        2.0 * a * math.pi / 2.0 + 0.7 * a * 2.0
-    )
-
-
-def test_phi_hat_marked_converges_to_chordal():
-    z = 0.8 + 1.3j
-    chordal = phi_hat_one_point("chordal", 3.0, 0.5, z)
-    marked = phi_hat_one_point("marked", 3.0, 0.5, z, q=1e6)
-    assert marked == pytest.approx(chordal, abs=1e-4)
-
-
-def test_phi_hat_dipolar_is_odd_in_re_z_at_zero_drift():
-    z = 0.4 + 0.9j
-    up = phi_hat_one_point("dipolar", 6.0, 0.0, z)
-    down = phi_hat_one_point("dipolar", 6.0, 0.0, complex(-z.real, z.imag))
-    two_a = 2.0 * CftParams(6.0).a
-    # reflection swaps the marked points; 2a arg z picks up the asymmetry
-    assert up + down == pytest.approx(two_a * math.pi)
-
-
-def test_phi_hat_branch_points_raise():
-    with pytest.raises(BranchPointError):
-        phi_hat_one_point("chordal", 4.0, 0.0, 0.0)
-    with pytest.raises(BranchPointError):
-        phi_hat_one_point("dipolar", 4.0, 0.0, 1.0)
-    with pytest.raises(ParameterRangeError):
-        phi_hat_one_point("nope", 4.0, 0.0, 1j)
-
-
-# -- vertex data ----------------------------------------------------------------
-
-
-def test_charge_vector_neutrality_enforced():
-    with pytest.raises(NeutralityError):
-        ChargeVector(1.0, 0.0, 0.0, 0.5)
-    ChargeVector(1.0, -1.0, 0.5, -0.5)  # neutral: fine
-
-
-def test_charge_exponents_plain():
-    cft = CftParams(4.0)
-    cv = ChargeVector(0.5, -0.5, 0.25, -0.25)
-    e = cv.exponents(cft)
-    bb = cft.bb
-    assert e["lam"] == pytest.approx(0.125 - 0.5 * bb)
-    assert e["tau_tau_star"] == pytest.approx(-0.25)
-    assert e["nu_plus"] == pytest.approx(0.5 * (bb - 0.25))
-    assert e["pow_w"] == 0.0
-
-
-def test_charge_exponents_inserted_reduce_at_zero_charge():
-    cft = CftParams(4.0)
-    cv = ChargeVector(0.3, -0.3, 0.0, 0.0, delta=0.0)
-    plain = cv.exponents(cft, inserted=False)
-    ins = cv.exponents(cft, inserted=True)
-    # with tau_± = 0 the source-insertion shift only affects nu and pow_w
-    assert ins["lam"] == plain["lam"]
-    assert ins["nu_plus"] - plain["nu_plus"] == pytest.approx(-0.5 * cft.a * 0.3)
-    assert ins["pow_w"] == pytest.approx(0.3 * cft.a)
-
-
-def test_vertex_correlation_branch_points():
-    cv = ChargeVector(0.5, -0.5, 0.0, 0.0)
-    with pytest.raises(BranchPointError):
-        vertex_correlation(cv, 4.0, 1.0)
-    with pytest.raises(BranchPointError):
-        vertex_correlation(cv, 4.0, 0.0, variant="inserted")
-    with pytest.raises(ParameterRangeError):
-        vertex_correlation(cv, 4.0, 1j, variant="weird")
-
-
-def test_vertex_correlation_reflection_symmetry():
-    # reflecting the node across the imaginary axis while swapping both the
-    # bulk charge pair and the two boundary charges permutes the product
-    # factors without changing any of them, so the value is preserved
-    cv = ChargeVector(0.5, -0.5, 0.25, -0.25)
-    refl = ChargeVector(-0.5, 0.5, -0.25, 0.25)
-    z = 0.7 + 1.9j
-    val = vertex_correlation(cv, 4.0, z)
-    val_refl = vertex_correlation(refl, 4.0, -z.conjugate())
-    assert val_refl == pytest.approx(val, rel=1e-12)
 
 
 # -- vertex observables along flows ----------------------------------------------
