@@ -18,10 +18,10 @@ if __name__ == "__main__":
     for kappa, alpha in CONFIGS:
         print(f"# oracle residuals kappa={kappa} alpha={alpha}")
         rc |= main(["sc-residual", "--kappa", kappa, "--alpha", alpha,
-                    *[f for z in POINTS for f in ("--z", z)]])
+                    *[f"--z={z}" for z in POINTS]])
         print(f"# monte carlo kappa={kappa} alpha={alpha}")
         rc |= main(["cardy-zhan", "--kappa", kappa, "--alpha", alpha,
                     "--seed", "0",
-                    *[f for z in POINTS for f in ("--z", z)],
+                    *[f"--z={z}" for z in POINTS],
                     *sys.argv[1:]])
     sys.exit(rc)

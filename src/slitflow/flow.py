@@ -258,9 +258,12 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     point) entry freezes once it comes within the resolvable distance of the
     pole at the origin or leaves the upper half-plane; it then keeps its last
     state, which lies off the pole.  Freezing at a state-dependent time keeps
-    stopped functionals unbiased.  ``callback(i, t, w, log_wp, alive)`` runs
-    after every step when given, with fresh complex arrays.  Seed points must
-    lie in the open upper half-plane (DomainError otherwise).
+    stopped functionals unbiased.  ``callback(i, t, x, y, lr, li, alive)``
+    runs before the first step and after every step when given, with
+    w = x + iy and log w' = lr + i li.  Its arrays are read-only views of the
+    live state buffers: the same objects on every call, overwritten by the
+    next step, so a caller copies what it keeps.  Seed points must lie in the
+    open upper half-plane (DomainError otherwise).
     """
     n_steps = _n_steps(T, dt)
     if not isinstance(rng, np.random.Generator):
@@ -286,8 +289,11 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     xn, yn, lrn, lin, a, b, c, d = (np.empty(shape) for _ in range(8))
     alive = np.ones(shape, dtype=bool)
     freeze_r2 = max(EPS_SWALLOW, math.sqrt(dt / C_SING)) ** 2
+    live = tuple(v.view() for v in (x, y, lr, li, alive))
+    for v in live:
+        v.flags.writeable = False
     if callback is not None:
-        callback(0, 0.0, _complex(x, y), _complex(lr, li), alive.copy())
+        callback(0, 0.0, *live)
     for i in range(n_steps):
         db = rng.standard_normal((n_paths, 1)) * math.sqrt(dt)
         # the poles: 2 dt/w = g conj(w) and -2 dt/w^2 = -h conj(w)^2, with
@@ -321,7 +327,6 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
         np.copyto(lr, lrn, where=alive)
         np.copyto(li, lin, where=alive)
         if callback is not None:
-            callback(i + 1, (i + 1) * dt, _complex(x, y), _complex(lr, li),
-                     alive.copy())
+            callback(i + 1, (i + 1) * dt, *live)
     return EnsembleResult(pts, _complex(x, y), _complex(lr, li), alive,
                           float(n_steps * dt), dt)

@@ -177,8 +177,8 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
     wgt = patch.weights
     state = {"prev": None, "qv": np.zeros(n_paths)}
 
-    def callback(i, t, w, log_wp, alive):
-        paired = two_a * np.angle(w) @ wgt
+    def callback(i, t, x, y, lr, li, alive):
+        paired = two_a * np.arctan2(y, x) @ wgt
         if state["prev"] is not None:
             state["qv"] += (paired - state["prev"]) ** 2
         state["prev"] = paired

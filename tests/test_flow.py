@@ -126,8 +126,8 @@ def test_ensemble_freezes_near_singularity():
     pts = np.array([0.02 + 0.05j, 1.0j])
     seen = []
 
-    def cb(i, t, w, log_wp, alive):
-        seen.append((w, log_wp, alive))
+    def cb(i, t, x, y, lr, li, alive):
+        seen.append((x + 1j * y, lr + 1j * li, alive.copy()))
 
     res = simulate_ensemble(model, pts, 64, 0.05, 1e-3, 7, cb)
     assert np.any(~res.alive)
@@ -171,14 +171,19 @@ def test_ensemble_step_matches_ito_formula(geometry, kappa, alpha):
 def test_ensemble_callback_order_and_times():
     model = _chordal_model(4.0, 0.0)
     seen = []
+    buffers = []
 
-    def cb(i, t, w, log_wp, alive):
+    def cb(i, t, x, y, lr, li, alive):
         seen.append((i, t))
+        buffers.append((x, y, lr, li, alive))
 
     simulate_ensemble(model, np.array([1j]), 4, 0.01, 1e-3, 5, cb)
     assert seen[0] == (0, 0.0)
     assert len(seen) == 11
     assert seen[-1][1] == pytest.approx(0.01)
+    # the live state buffers are handed over read-only, not per-step copies
+    assert all(a is b for bufs in buffers for a, b in zip(bufs, buffers[0]))
+    assert not any(a.flags.writeable for a in buffers[0])
 
 
 def test_ensemble_matches_scalar_integrator_statistics():

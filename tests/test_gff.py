@@ -14,6 +14,7 @@ from slitflow.gff import (
     eigen_basis,
     energy_from_map,
     patch_from_testfn,
+    sin_multiples,
 )
 from slitflow.gff import TestFn as Bump
 
@@ -63,8 +64,8 @@ def test_rect_green_vanishes_on_boundary_and_matches_spectral():
     z1 = -2.0 + 2.5j
     su1, sv1 = basis.sin_tables(np.array([z1]))
     su2, sv2 = basis.sin_tables(np.array([z2]))
-    e1 = basis.norm * (su1[0][:, None] * sv1[0][None, :])
-    e2 = basis.norm * (su2[0][:, None] * sv2[0][None, :])
+    e1 = basis.norm * (su1[:, 0][:, None] * sv1[:, 0][None, :])
+    e2 = basis.norm * (su2[:, 0][:, None] * sv2[:, 0][None, :])
     spectral = float(np.sum(np.where(basis.mask, 2 * math.pi / basis.lam_box, 0.0)
                             * e1 * e2))
     assert g.pair(z1, z2) == pytest.approx(spectral, abs=2e-4)
@@ -146,3 +147,49 @@ def test_pullback_pair_zero_outside_rectangle():
     coeff = _field_draws(1, 13)[0]
     far = np.full(PATCH.centers.size, 100.0 + 100.0j)
     assert BASIS.field_at_points(coeff, far) @ PATCH.weights == 0.0
+
+
+@pytest.mark.parametrize("dom", [DOM, RectDomain(nx=256, ny=256, modes=256 * 256)],
+                         ids=["default", "256x256"])
+def test_sin_multiples_recurrence_matches_sin(dom):
+    # the recurrence loses at most k^2 eps against sin(k theta) computed
+    # directly, for every theta in [0, pi], the endpoints included (measured:
+    # 0.47 k^2 eps at k = 3, mostly the rounding of k theta in the reference,
+    # and below 0.13 k^2 eps from k = 50 on)
+    basis = EigenBasis(dom)
+    k_max = max(basis.m_max, basis.n_max)
+    theta = np.concatenate([
+        [0.0, 1e-9, 1e-5, math.pi / 2, math.pi - 1e-5, math.pi - 1e-9, math.pi],
+        np.random.default_rng(3).uniform(0.0, math.pi, 2000),
+    ])
+    table = sin_multiples(np.stack([theta, theta[::-1]]), k_max)
+    assert table.shape == (2, k_max, theta.size)
+    k = np.arange(1, k_max + 1)
+    exact = np.sin(theta[None, :] * k[:, None])
+    err = np.abs(table[0] - exact).max(axis=1)
+    assert np.all(err <= k ** 2 * np.finfo(float).eps)
+    assert np.array_equal(table[1], table[0][:, ::-1])
+
+
+def test_field_at_points_matches_double_sum():
+    # batched coefficients against norm * sum c_mn sin(m theta_x) sin(n theta_y),
+    # with theta computed per point and mode; outside points give exactly 0
+    coeff = _field_draws(3, 21)
+    rng = np.random.default_rng(22)
+    inside = (rng.uniform(DOM.x0, DOM.x1, (3, 5))
+              + 1j * rng.uniform(DOM.y0, DOM.y1, (3, 5)))
+    outside = np.array([DOM.x0 - 0.5 + 2j, DOM.x1 + 1e-3 + 2j, 3.0 - 0.1j,
+                        3.0 + (DOM.y1 + 2.0) * 1j, DOM.x0 + 4j])
+    pts = np.concatenate([inside, np.broadcast_to(outside, (3, 5))], axis=1)
+    vals = BASIS.field_at_points(coeff, pts)
+    assert vals.shape == (3, 10)
+    mm = np.arange(1, BASIS.m_max + 1)
+    nn = np.arange(1, BASIS.n_max + 1)
+    for s in range(3):
+        for p in range(5):
+            z = inside[s, p]
+            sx = np.sin(math.pi / DOM.width * (z.real - DOM.x0) * mm)
+            sy = np.sin(math.pi / DOM.height * (z.imag - DOM.y0) * nn)
+            direct = BASIS.norm * float(sx @ coeff[s] @ sy)
+            assert vals[s, p] == pytest.approx(direct, rel=1e-12, abs=1e-11)
+    assert np.all(vals[:, 5:] == 0.0)
