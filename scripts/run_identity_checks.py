@@ -7,12 +7,12 @@ Usage: run_identity_checks.py [extra slitflow flags...]
 
 import sys
 
-from slitflow.cli import main
+from slitflow.cli import echo, main
 
 if __name__ == "__main__":
     rc = 0
     for kappa in ("3", "4", "6"):
-        print(f"# kappa = {kappa}")
+        echo(f"# kappa = {kappa}\n")
         rc |= main(["check-identities", "--kappa", kappa, "--alpha", "0.3",
                     "--seed", "1", *sys.argv[1:]])
     sys.exit(rc)

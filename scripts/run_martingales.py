@@ -7,7 +7,7 @@ Defaults match the acceptance setup (10^4 paths, T=0.3, dt=1e-4).
 
 import sys
 
-from slitflow.cli import main
+from slitflow.cli import echo, main
 
 CONFIGS = (
     ("chordal", "4", "0"),
@@ -19,7 +19,7 @@ CONFIGS = (
 if __name__ == "__main__":
     rc = 0
     for geometry, kappa, alpha in CONFIGS:
-        print(f"# {geometry} kappa={kappa} alpha={alpha}")
+        echo(f"# {geometry} kappa={kappa} alpha={alpha}\n")
         rc |= main(["verify-martingales", "--geometry", geometry,
                     "--kappa", kappa, "--alpha", alpha, "--seed", "0",
                     *sys.argv[1:]])

@@ -56,7 +56,6 @@ class FlowModel:
     beta: float
     b: FieldCoeffs
     sigma: FieldCoeffs
-    family: str
     cft: CftParams
 
     @property
@@ -136,7 +135,6 @@ class SolveResult:
 
     status: str  # 'unique' | 'free' | 'inconsistent'
     b: Optional[FieldCoeffs]
-    free_params: tuple
     residuals: tuple
 
 
@@ -144,8 +142,8 @@ def solve_system(kappa, sigma0, sigma1, alpha, *, B) -> SolveResult:
     """Solve for the b coefficients given (kappa, sigma, alpha, B).
 
     B = beta*sqrt(kappa) (a Fraction, with rational other inputs, for exact
-    arithmetic).  Free coefficients at degenerate kappa are reported and set
-    to zero in the returned particular solution.
+    arithmetic).  Free coefficients at degenerate kappa give status 'free'
+    and are set to zero in the returned particular solution.
     """
     exact = all(_is_exact(v) for v in (kappa, sigma0, sigma1, alpha, B))
     if exact:
@@ -158,15 +156,14 @@ def solve_system(kappa, sigma0, sigma1, alpha, *, B) -> SolveResult:
         )
     rows, rhs = system_matrix(kappa, sigma0, sigma1, alpha, B)
     x, free, inconsistent = _row_reduce(rows, rhs, exact)
-    names = ("b_-1", "b_0", "b_1")
     if inconsistent:
         bf = FieldCoeffs("b", *x)
         res = tuple(system_residuals(kappa, sigma0, sigma1, alpha, B, bf))
-        return SolveResult("inconsistent", None, (), res)
+        return SolveResult("inconsistent", None, res)
     b = FieldCoeffs("b", *x)
     res = tuple(system_residuals(kappa, sigma0, sigma1, alpha, B, b))
     status = "free" if free else "unique"
-    return SolveResult(status, b, tuple(names[c] for c in free), res)
+    return SolveResult(status, b, res)
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,6 @@ class FamilySpec:
     kappa: object
     sigma: FieldCoeffs
     parameter: str  # 'alpha' or 'beta'
-    description: str
     degenerate_notes: tuple = ()
 
     def coefficients(self, alpha=0, B=None):
@@ -230,7 +226,6 @@ class FamilySpec:
             beta=beta_val,
             b=b,
             sigma=self.sigma,
-            family=self.name,
             cft=CftParams(k),
         )
 
@@ -245,39 +240,31 @@ def enumerate_families(kappa) -> list:
     sig_hyp = FieldCoeffs("sigma", 0, Fraction(-1, 4) if exact else -0.25)
     sig_ell = FieldCoeffs("sigma", 0, Fraction(1, 4) if exact else 0.25)
     out = [
-        FamilySpec(
-            "chordal-drift", k, sig_par, "alpha",
-            "drift alpha, b = (-alpha, 0, 0), B = alpha^2",
-        ),
+        # drift alpha, b = (-alpha, 0, 0), B = alpha^2
+        FamilySpec("chordal-drift", k, sig_par, "alpha"),
+        # alpha = 0, b = (0, 2B/(kappa-8), 0)
         FamilySpec(
             "parabolic-beta", k, sig_par, "beta",
-            "alpha = 0, b = (0, 2B/(kappa-8), 0)",
             degenerate_notes=(
                 ("b_1 free at kappa = 6",) if k == 6 else ()
             ) + (("b_0 free at kappa = 8, beta = 0",) if k == 8 else ()),
         ),
-        FamilySpec(
-            "dipolar-drift", k, sig_hyp, "alpha",
-            "drift alpha, b = (-alpha, -1/2, alpha/4), B = alpha^2 - 1",
-        ),
+        # drift alpha, b = (-alpha, -1/2, alpha/4), B = alpha^2 - 1
+        FamilySpec("dipolar-drift", k, sig_hyp, "alpha"),
+        # alpha = (kappa-6)/2, b_0 = (3-kappa)/2 + 2B/(kappa-8)
         FamilySpec(
             "hyperbolic-beta(+)", k, sig_hyp, "beta",
-            "alpha = (kappa-6)/2, b_0 = (3-kappa)/2 + 2B/(kappa-8)",
             degenerate_notes=("b_1 free at kappa = 6, alpha = 0",) if k == 6 else (),
         ),
+        # alpha = -(kappa-6)/2, b_0 = (3-kappa)/2 + 2B/(kappa-8)
         FamilySpec(
             "hyperbolic-beta(-)", k, sig_hyp, "beta",
-            "alpha = -(kappa-6)/2, b_0 = (3-kappa)/2 + 2B/(kappa-8)",
             degenerate_notes=("b_1 free at kappa = 6, alpha = 0",) if k == 6 else (),
         ),
     ]
     if k == 6:
-        out.append(
-            FamilySpec(
-                "radial6-drift", k, sig_ell, "alpha",
-                "kappa = 6 only; b = (-alpha, 1/2, -alpha/4), B = 1 + alpha^2",
-            )
-        )
+        # kappa = 6 only; b = (-alpha, 1/2, -alpha/4), B = 1 + alpha^2
+        out.append(FamilySpec("radial6-drift", k, sig_ell, "alpha"))
     return out
 
 

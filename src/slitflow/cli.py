@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -65,6 +66,21 @@ def _parse_complex(s: str) -> complex:
         raise ConfigError(f"cannot parse complex number {s!r}") from exc
 
 
+def echo(text: str) -> None:
+    """Write text to stdout now; a reader that has gone away ends the run.
+
+    When the reader closes the pipe early (``| head``), stdout is pointed at
+    the null device, so that the interpreter's last flush cannot fail again,
+    and the process exits 1 without a traceback.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
 def _emit(rows, config, out_path, fmt):
     """Write rows (list of dicts) with an auditable header block."""
     # runtime-only knobs must not leak into the output so that reruns with a
@@ -99,7 +115,7 @@ def _emit(rows, config, out_path, fmt):
         except OSError as exc:
             raise ConfigError(f"cannot write --out: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        echo(text)
 
 
 def _load_config(path: str) -> dict:

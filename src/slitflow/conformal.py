@@ -21,7 +21,7 @@ from .errors import (
 )
 
 COINCIDENT_TOL = 1e-13
-TRIANGLE_TOL = 1e-9
+TRIANGLE_TOL = 1e-7  # relative slack before a point counts as outside
 _SC_QUAD_ORDER = 48
 
 
@@ -73,25 +73,33 @@ class TriangleSpec:
         return (self.vertex_a, self.vertex_b, self.vertex_c)
 
 
-def barycentric(point: complex, tri: TriangleSpec, tol: float = TRIANGLE_TOL):
-    """Barycentric coordinates (a, b, c) of ``point`` in ``tri``, renormalized to sum 1."""
+def barycentric(point, tri: TriangleSpec):
+    """Barycentric coordinates (a, b, c) of points in ``tri``, renormalized to sum 1.
+
+    ``point`` is a complex scalar or array; the coordinates run along a new
+    last axis.  Raises OutsideTriangleError if any point lies outside the
+    triangle by more than TRIANGLE_TOL (relative to the triangle's size).
+    """
     A, B, C = tri.vertices
-    m = np.array(
-        [
-            [(B - A).real, (C - A).real],
-            [(B - A).imag, (C - A).imag],
-        ]
-    )
-    rhs = np.array([(point - A).real, (point - A).imag])
-    b, c = np.linalg.solve(m, rhs)
+    u, v = B - A, C - A
+    p = np.asarray(point, dtype=complex) - A
+    # closed form of the 2x2 solve  [u v] (b, c) = p  over the reals
+    det = u.real * v.imag - u.imag * v.real
+    b = (p.real * v.imag - p.imag * v.real) / det
+    c = (u.real * p.imag - u.imag * p.real) / det
     a = 1.0 - b - c
-    scale = max(1.0, abs(B - A), abs(C - A))
-    if min(a, b, c) < -tol * scale:
+    abc = np.stack([a, b, c], axis=-1)
+    outside = abc.min(axis=-1) < -TRIANGLE_TOL * max(1.0, abs(u), abs(v))
+    if np.any(outside):
         raise OutsideTriangleError(
-            f"point {point} outside triangle (coords {a:.3e}, {b:.3e}, {c:.3e})"
+            f"point {p[outside][0] + A} outside triangle (coords {abc[outside][0]})"
         )
-    total = a + b + c
-    return (a / total, b / total, c / total)
+    return abc / (a + b + c)[..., None]
+
+
+def _jacobi_sum(w, exponent, base):
+    """Gauss-Jacobi sum over the last axis: sum_k w_k base_k^exponent (principal branch)."""
+    return (w * np.exp(exponent * np.log(base))).sum(-1)
 
 
 @dataclass
@@ -145,9 +153,13 @@ class ScMap:
         angle_c = math.pi * (1.0 + self.exp_zero)
         self.triangle = TriangleSpec(angle_a, angle_b, angle_c, vertex_a, vertex_b, vertex_c)
 
-        self._nodes_one, self._weights_one = roots_jacobi(_SC_QUAD_ORDER, 0.0, self.exp_one)
-        self._nodes_zero, self._weights_zero = roots_jacobi(_SC_QUAD_ORDER, 0.0, self.exp_zero)
-        self._nodes_inf, self._weights_inf = roots_jacobi(_SC_QUAD_ORDER, 0.0, self.exp_inf)
+        # Gauss-Jacobi nodes and weights moved from [-1, 1] to [0, 1], one
+        # rule per vertex chart, weighted by t^exponent
+        self._quad = {}
+        for name, e in (("one", self.exp_one), ("zero", self.exp_zero),
+                        ("inf", self.exp_inf)):
+            nodes, weights = roots_jacobi(_SC_QUAD_ORDER, 0.0, e)
+            self._quad[name] = (0.5 * (nodes + 1.0), weights * 0.5 ** (e + 1.0))
 
     # -- half-plane chart ------------------------------------------------
 
@@ -163,21 +175,20 @@ class ScMap:
         z = np.asarray(z, dtype=complex)
         return self.exp_zero / z + self.exp_one / (z - 1.0)
 
+    # Each vertex chart takes an array of points (h passes them) and returns
+    # one value per point; the Gauss-Jacobi sums are (points, order) products.
+
     def _h_from_one(self, z):
         # h(z) = (z-1)^(1+exp_one) * int_0^1 t^exp_one (1 + (z-1) t)^exp_zero dt
-        dz = z - 1.0
-        t = 0.5 * (self._nodes_one + 1.0)
-        w = self._weights_one * 0.5 ** (self.exp_one + 1.0)
-        vals = np.exp(self.exp_zero * np.log(1.0 + dz * t))
-        integral = np.sum(w * vals)
+        dz = np.asarray(z, dtype=complex) - 1.0
+        t, w = self._quad["one"]
+        integral = _jacobi_sum(w, self.exp_zero, 1.0 + dz[..., None] * t)
         return self.scale * np.exp((1.0 + self.exp_one) * np.log(dz)) * integral
 
     def _h_from_zero(self, z):
         # h(z) = C_vertex + z^(1+exp_zero) * int_0^1 t^exp_zero (z t - 1)^exp_one dt
-        t = 0.5 * (self._nodes_zero + 1.0)
-        w = self._weights_zero * 0.5 ** (self.exp_zero + 1.0)
-        vals = np.exp(self.exp_one * np.log(z * t - 1.0))
-        integral = np.sum(w * vals)
+        t, w = self._quad["zero"]
+        integral = _jacobi_sum(w, self.exp_one, z[..., None] * t - 1.0)
         return self.triangle.vertex_c + self.scale * np.exp(
             (1.0 + self.exp_zero) * np.log(z)
         ) * integral
@@ -185,42 +196,56 @@ class ScMap:
     def _h_from_inf(self, z):
         # h(z) = B - z^(1+exp_zero+exp_one) * int_0^1 s^exp_inf (1 - s/z)^exp_one ds
         p = 1.0 + self.exp_zero + self.exp_one  # negative
-        t = 0.5 * (self._nodes_inf + 1.0)
-        w = self._weights_inf * 0.5 ** (self.exp_inf + 1.0)
-        vals = np.exp(self.exp_one * np.log(1.0 - t / z))
-        integral = np.sum(w * vals)
+        t, w = self._quad["inf"]
+        integral = _jacobi_sum(w, self.exp_one, 1.0 - t / z[..., None])
         return self.triangle.vertex_b - self.scale * np.exp(p * np.log(z)) * integral
 
-    def h(self, z: complex) -> complex:
-        """Half-plane chart map onto the triangle; h(1), h(0), h(inf) are the vertices."""
-        z = complex(z)
-        if z.imag < 0:
+    def h(self, z):
+        """Half-plane chart map onto the triangle; h(1), h(0), h(inf) are the vertices.
+
+        Takes a complex scalar or array; each point goes through the vertex
+        chart nearest to it.
+        """
+        z = np.asarray(z, dtype=complex)
+        if np.any(z.imag < 0):
             raise DomainError("h is defined on the closed upper half-plane")
-        az = abs(z)
-        if az >= 4.0:
-            return self._h_from_inf(z)
-        if abs(z - 1.0) <= az:
-            return self._h_from_one(z)
-        return self._h_from_zero(z)
+        az = np.abs(z)
+        far = az >= 4.0
+        near_one = ~far & (np.abs(z - 1.0) <= az)
+        near_zero = ~(far | near_one)
+        out = np.empty_like(z)
+        out[far] = self._h_from_inf(z[far])
+        out[near_one] = self._h_from_one(z[near_one])
+        out[near_zero] = self._h_from_zero(z[near_zero])
+        return out[()]
 
     # -- strip chart -----------------------------------------------------
 
-    def __call__(self, z: complex) -> complex:
-        """Evaluate the strip chart map f(z) = h(e^z) for z in the closed strip."""
-        y = float(np.imag(z))
-        if not (0.0 <= y <= math.pi):
-            raise DomainError(f"point not in the closed strip: {z!r}")
-        x = float(np.real(z))
-        if x > 50.0:
-            return self.triangle.vertex_b
-        if x < -50.0:
-            return self.triangle.vertex_c
-        return self.h(cmath.exp(complex(z)))
+    def __call__(self, z):
+        """Evaluate the strip chart map f(z) = h(e^z) for z in the closed strip.
 
-    def exit_probabilities(self, z: complex):
-        """Oracle triple (P[swallowed], P[right side], P[left side]) for strip point z."""
-        a, b, c = barycentric(self(z), self.triangle, tol=1e-7)
-        return (a, b, c)
+        Takes a complex scalar or array.  Points with |Re z| > 50 map to the
+        vertex they approach, without evaluating exp.
+        """
+        z = np.asarray(z, dtype=complex)
+        x = z.real
+        if not np.all((0.0 <= z.imag) & (z.imag <= math.pi)):
+            raise DomainError(f"point not in the closed strip: {z!r}")
+        right, left = x > 50.0, x < -50.0
+        inside = ~(right | left)
+        out = np.empty_like(z)
+        out[right] = self.triangle.vertex_b
+        out[left] = self.triangle.vertex_c
+        out[inside] = self.h(np.exp(z[inside]))
+        return out[()]
+
+    def exit_probabilities(self, z):
+        """Oracle (P[swallowed], P[right side], P[left side]) for strip points z.
+
+        The three probabilities run along a new last axis: shape (3,) for a
+        scalar z, (n, 3) for n points.
+        """
+        return barycentric(self(z), self.triangle)
 
 
 def sc_map_build(kappa: float, alpha: float) -> ScMap:

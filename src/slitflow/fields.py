@@ -126,29 +126,23 @@ def _wirtinger(f: Callable, nodes: tuple, k: int, h: float):
 
 
 def lie_derivative(
-    v,
+    v: FieldCoeffs,
     f: Callable,
     weights,
     nodes: Sequence[complex],
 ) -> complex:
     """Multi-node Lie derivative of a sampled conformal field.
 
-    v is a FieldCoeffs or a pair of callables (v, v'); f maps a tuple of node
-    positions to a scalar; weights is one ConformalWeight per node (or a
-    single weight applied to every node).  Derivatives are central finite
-    differences with a two-step consistency check.
+    f maps a tuple of node positions to a scalar; weights is one
+    ConformalWeight per node (or a single weight applied to every node).
+    Derivatives are central finite differences with a two-step consistency
+    check.
     """
     nodes = tuple(complex(z) for z in nodes)
     if isinstance(weights, ConformalWeight):
         weights = [weights] * len(nodes)
     if len(weights) != len(nodes):
         raise ParameterRangeError("need one weight per node")
-    if isinstance(v, FieldCoeffs):
-        v_val = lambda z: eval_field(v, z)
-        v_prime = lambda z: eval_field_prime(v, z)
-    else:
-        v_val, v_prime = v
-
     f0 = complex(f(nodes))
     total = 0.0 + 0.0j
     for k, (z, wt) in enumerate(zip(nodes, weights)):
@@ -160,35 +154,25 @@ def lie_derivative(
             raise FiniteDifferenceError(
                 f"finite-difference estimates disagree at node {z}"
             )
-        vk = v_val(z)
-        vpk = v_prime(z)
+        vk = eval_field(v, z)
+        vpk = eval_field_prime(v, z)
         total += vk * d2 + np.conj(vk) * db2
         total += (wt.lam * vpk + wt.lam_star * np.conj(vpk)) * f0
     return total
 
 
-def lie_green_closed(v, z1: complex, z2: complex) -> float:
+def lie_green_closed(v: FieldCoeffs, z1: complex, z2: complex) -> float:
     """Closed-form Lie derivative of the half-plane Green's function.
 
-    v is a FieldCoeffs, or an integer n in {-2,...,1} selecting
-    ell_n(z) = -z^(n+1).  Any sigma-field gives exactly 0; any b-field gives
-    4 Im(1/z1) Im(1/z2).
+    Any sigma-field gives exactly 0; any b-field gives 4 Im(1/z1) Im(1/z2).
     """
     if abs(z1 - z2) < 1e-13 * max(abs(z1), abs(z2), 1.0):
         raise CoincidentPointsError(f"coincident points {z1}, {z2}")
-    if isinstance(v, FieldCoeffs):
-        if v.kind == "sigma":
-            return 0.0
-        # b = 2*ell_{-2} + (Moebius part); ell_{-1}, ell_0, ell_1 annihilate G,
-        # so only 2*L_{ell_{-2}}G survives whatever the coefficients are.
-        return 4.0 * (1.0 / z1).imag * (1.0 / z2).imag
-    n = int(v)
-    if not -2 <= n <= 1:
-        raise ParameterRangeError("ell_n defined for n in {-2,...,1}")
-    p1 = z1 ** (n + 1)
-    p2 = z2 ** (n + 1)
-    val = (p1 - p2) / (z1 - z2) - (p1 - np.conj(p2)) / (z1 - np.conj(z2))
-    return float(np.real(val))
+    if v.kind == "sigma":
+        return 0.0
+    # b = 2*ell_{-2} + (Moebius part); ell_{-1}, ell_0, ell_1 annihilate G,
+    # so only 2*L_{ell_{-2}}G survives whatever the coefficients are.
+    return 4.0 * (1.0 / z1).imag * (1.0 / z2).imag
 
 
 def green_as_sampler(nodes: tuple) -> float:

@@ -74,11 +74,9 @@ def zero_driving(kappa: float, alpha: float, T: float, dt: float) -> DrivingPath
 class FlowPath:
     """One trajectory of (w_t(z0), log w'_t(z0)) on the driving grid."""
 
-    z0: complex
     times: np.ndarray
     w: np.ndarray
     log_wp: np.ndarray
-    swallow_time: float
 
     def last_alive_index(self) -> int:
         return int(np.sum(np.isfinite(self.w.real))) - 1
@@ -124,7 +122,6 @@ def chordal_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
     lp_arr[0] = 0.0
     # state y = (g, log g')
     y = np.array([z0, 0.0], dtype=complex)
-    swallow = math.inf
 
     def xi_lin(t, i):
         fr = (t - times[i]) / driving.dt
@@ -143,13 +140,12 @@ def chordal_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
         y, ok = _rk4_segment(rhs, y, times[i], times[i + 1], dist)
         w = y[0] - xi[i + 1]
         if not ok or abs(w) < EPS_SWALLOW:
-            swallow = float(times[i + 1])
             break
         if not y[0].imag >= 0.0:
             raise StepExplosionError("Loewner solution left its domain")
         w_arr[i + 1] = w
         lp_arr[i + 1] = y[1]
-    return FlowPath(z0, times, w_arr, lp_arr, swallow)
+    return FlowPath(times, w_arr, lp_arr)
 
 
 def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:

@@ -16,12 +16,7 @@ import numpy as np
 
 from .classify import CftParams, FlowModel, build_u, enumerate_families
 from .conformal import green_half_plane_grid, sc_map_build
-from .errors import (
-    BranchPointError,
-    DomainError,
-    OutsideTriangleError,
-    ParameterRangeError,
-)
+from .errors import BranchPointError, ParameterRangeError
 from .flow import EPS_SWALLOW, simulate_ensemble
 from .gff import (
     RectDomain,
@@ -35,7 +30,7 @@ from .stats import drift_test, ks_normality
 ESCAPE_RE = 20.0
 T_MAX_DEFAULT = 30.0
 C_SING_STRIP = 5e-3  # cardy_zhan step clamp: h = min(dt, C_SING_STRIP |Z|^2)
-VERTEX_TOL = 0.95  # a leftover with no exit probability above this is ambiguous
+VERTEX_TOL = 0.95  # a stop with no exit probability above this is ambiguous
 
 
 # -- vertex observables along flows -------------------------------------------
@@ -200,7 +195,11 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
 
 @dataclass
 class CardyZhanResult:
-    """Monte Carlo endpoint frequencies against the triangle-map oracle."""
+    """Monte Carlo endpoint frequencies against the triangle-map oracle.
+
+    ``oracle_share`` is the mean of 1 - max(barycentric) over the stops: the
+    part of the answer that the oracle supplies rather than the paths.
+    """
 
     kappa: float
     alpha: float
@@ -210,6 +209,7 @@ class CardyZhanResult:
     se: tuple
     oracle: tuple
     ambiguous_frac: float
+    oracle_share: float
     seed: Optional[int]
     dt: float
 
@@ -234,8 +234,11 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     using a per-path step min(dt, C_SING_STRIP |Z|^2) near the swallowing
     singularity; C_SING_STRIP = 5e-3 keeps the per-step noise below ~0.2 |Z|
     so the hitting probability of the swallow threshold is resolved without
-    bias.  Outcomes: swallowed (|Z| below threshold), escaped right/left
-    (|Re Z| > ESCAPE_RE), or allocated by the oracle at the time horizon.
+    bias.  One rule stops a path: the first sweep at which |Z| < EPS_SWALLOW,
+    |Re Z| > ESCAPE_RE or t >= t_max.  The exit-probability vector is a
+    bounded martingale of the flow, so crediting every path with its oracle
+    barycentrics at its stop point is unbiased (optional stopping); a stop
+    whose largest barycentric is at most VERTEX_TOL counts as ambiguous.
     """
     if kappa <= 4:
         raise ParameterRangeError("swallowing needs kappa > 4")
@@ -243,7 +246,7 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     if not 0.0 < z.imag < math.pi:
         raise ParameterRangeError("seed point must be inside the strip")
     sm = sc_map_build(kappa, alpha)
-    oracle = sm.exit_probabilities(z)
+    oracle = tuple(float(p) for p in sm.exit_probabilities(z))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sqk = math.sqrt(kappa)
 
@@ -252,8 +255,7 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     x = np.full(n_paths, z.real)
     y = np.full(n_paths, z.imag)
     t = np.zeros(n_paths)
-    counts = {"swallow": 0.0, "right": 0.0, "left": 0.0}
-    leftovers = []
+    stops = []
     classify_every = 8
     step = 0
     while x.size:
@@ -272,43 +274,25 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
         t += h
         step += 1
         if step % classify_every:
-            # retired paths idle on near-zero steps until the next sweep:
+            # stopped paths idle on near-zero steps until the next sweep:
             # swallowed entries have h ~ |Z|^2, timed-out entries have h = 0,
             # escaped ones keep a finite drift for at most a few steps
             continue
-        swallowed = x * x + y * y < EPS_SWALLOW * EPS_SWALLOW
-        right = x > ESCAPE_RE
-        left = x < -ESCAPE_RE
-        timed_out = (t >= t_max - 1e-12) & ~(swallowed | right | left)
-        counts["swallow"] += int(np.count_nonzero(swallowed))
-        counts["right"] += int(np.count_nonzero(right))
-        counts["left"] += int(np.count_nonzero(left))
-        leftovers.extend(x[timed_out] + 1j * y[timed_out])
-        keep = ~(swallowed | right | left | timed_out)
-        if x.size - int(np.count_nonzero(keep)):
+        stop = ((x * x + y * y < EPS_SWALLOW * EPS_SWALLOW)
+                | (np.abs(x) > ESCAPE_RE) | (t >= t_max - 1e-12))
+        if stop.any():
+            stops.append(x[stop] + 1j * y[stop])
+            keep = ~stop
             x, y, t = x[keep], y[keep], t[keep]
 
-    ambiguous = 0
-    for zv in leftovers:
-        # paths still undecided at the horizon: the exit-probability vector
-        # is a bounded martingale of the flow, so allocating each leftover
-        # fractionally by its current coordinates is unbiased (optional
-        # stopping); paths not yet concentrated at a vertex are also counted
-        # toward the ambiguity diagnostic
-        try:
-            bary = sm.exit_probabilities(complex(zv))
-        except (DomainError, OutsideTriangleError):
-            ambiguous += 1
-            continue
-        for key, p in zip(("swallow", "right", "left"), bary):
-            counts[key] += float(p)
-        if max(bary) <= VERTEX_TOL:
-            ambiguous += 1
-    mc = tuple(counts[k] / n_paths for k in ("swallow", "right", "left"))
+    bary = sm.exit_probabilities(np.concatenate(stops))
+    top = bary.max(axis=1)
+    mc = tuple(float(p) for p in bary.mean(axis=0))
     se = tuple(math.sqrt(p * (1.0 - p) / n_paths) for p in mc)
     return CardyZhanResult(
         kappa, alpha, z, n_paths, mc, se, oracle,
-        ambiguous / n_paths, seed, dt,
+        float(np.mean(top <= VERTEX_TOL)), float(np.mean(1.0 - top)),
+        seed, dt,
     )
 
 

@@ -131,3 +131,40 @@ def test_strip_chart_consistent_with_half_plane_chart():
     sm = sc_map_build(8.0, 0.2)
     z = 0.4 + 1.0j
     assert sm(z) == pytest.approx(sm.h(cmath.exp(z)), abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2)])
+def test_batched_exit_probabilities_match_pointwise(kappa, alpha):
+    sm = sc_map_build(kappa, alpha)
+    tri = sm.triangle
+    z = np.array([
+        0.5 + 0.3j, 1.0 + 1.5j,           # chart at h = 1: Re e^z >= 1/2
+        2.0 + 1.0j, 5.0 + 3.1j,           # chart at infinity: |e^z| >= 4
+        -1.0 + 2.5j, 0.2 + 3.0j,          # chart at h = 0
+        1e-5 + 1e-5j, 3e-5j,              # vertex A (swallowed)
+        30.0 + 1.0j, 20.5 + 0.01j,        # vertex B (right)
+        -30.0 + 2.0j, -20.5 + 3.1j,       # vertex C (left)
+        60.0 + 1.5j, -55.0 + 0.5j,        # beyond the |Re z| = 50 clamp
+    ])
+    batch = sm.exit_probabilities(z)
+    assert batch.shape == (z.size, 3)
+    pointwise = np.array([sm.exit_probabilities(complex(p)) for p in z])
+    np.testing.assert_array_equal(batch, pointwise)
+    assert np.abs(batch.sum(axis=1) - 1.0).max() < 1e-12
+    rebuilt = batch @ np.array(tri.vertices)
+    assert np.abs(rebuilt - sm(z)).max() < 1e-12
+    # each vertex neighbourhood concentrates on its own exit
+    assert batch[6:8, 0].min() > 0.95
+    assert batch[8:10, 1].min() > 0.95 and batch[10:12, 2].min() > 0.95
+    np.testing.assert_array_equal(batch[12:], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_batched_oracle_raises_for_the_batch():
+    sm = sc_map_build(6.0, 0.0)
+    with pytest.raises(DomainError):
+        sm.exit_probabilities(np.array([1j, 0.5 + 4.0j]))
+    with pytest.raises(DomainError):
+        sm.h(np.array([1j, 1.0 - 0.5j]))
+    tri = sm.triangle
+    with pytest.raises(OutsideTriangleError):
+        barycentric(np.array([0.5 * tri.vertex_c, -1.0 - 1.0j]), tri)

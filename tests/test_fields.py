@@ -64,17 +64,6 @@ def test_lie_green_coincident_rejected():
         lie_green_closed(FieldCoeffs.b_field(0, 0, 0), 1j, 1j)
 
 
-@pytest.mark.parametrize("n", [-2, -1, 0, 1])
-def test_ell_generators_match_finite_difference_lie(n):
-    z1, z2 = 0.5 + 1.2j, -0.8 + 0.7j
-    closed = lie_green_closed(n, z1, z2)
-    # ell_n(z) = -z^(n+1) and its derivative, as a (value, derivative) pair
-    ell = (lambda z: -(z ** (n + 1)), lambda z: -(n + 1) * z ** n)
-    fd = lie_derivative(ell, green_as_sampler, SCALAR, (z1, z2))
-    assert complex(fd).real == pytest.approx(closed, abs=1e-6)
-    assert abs(complex(fd).imag) < 1e-6
-
-
 def test_full_b_field_matches_finite_difference_lie():
     b = FieldCoeffs.b_field(0.12, -0.4, 0.21)
     z1, z2 = 0.9 + 0.8j, -0.4 + 1.6j

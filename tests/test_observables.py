@@ -67,6 +67,26 @@ def test_cardy_zhan_smoke():
     assert abs(sum(res.oracle) - 1.0) < 1e-9
 
 
+def test_cardy_zhan_credits_escape_stops_with_the_oracle():
+    # every path starts past ESCAPE_RE and stops at the first sweep; its
+    # credit is the oracle there (0.99984 to the right), not a sure escape
+    res = cardy_zhan(6.0, 0.0, 25.0 + 1.5j, n_paths=200, dt=1e-3, seed=1)
+    assert 0.99 < res.mc[1] < 1.0
+    assert abs(sum(res.mc) - 1.0) < 1e-12
+    assert res.ambiguous_frac == 0.0
+    assert 0.0 < res.oracle_share < 0.01
+
+
+def test_cardy_zhan_credits_swallow_stops_with_the_oracle():
+    # every path starts inside EPS_SWALLOW; the oracle there is 0.976, so
+    # the swallow frequency is below 1 and the rest goes to the two sides
+    res = cardy_zhan(6.0, 0.0, 5e-5j, n_paths=200, dt=1e-3, seed=1)
+    assert 0.95 < res.mc[0] < 1.0
+    assert min(res.mc[1:]) > 0.0
+    assert abs(sum(res.mc) - 1.0) < 1e-12
+    assert res.ambiguous_frac == 0.0
+
+
 def test_drift_modified_coupling_law():
     # the drift-modified coupling: with alpha != 0 the pairing's mean shifts
     # by alpha a (Im z, p); gates at 5 se, the alpha = 0 mean must be ruled out

@@ -47,13 +47,16 @@ def _blocks(stdout):
     return blocks
 
 
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
 def test_script_runs_and_prints_csv(script):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_env(), timeout=300,
     )
     assert proc.returncode in (0, 1), proc.stderr
     assert "usage:" not in proc.stderr
@@ -63,3 +66,20 @@ def test_script_runs_and_prints_csv(script):
         rows = list(csv.DictReader(lines))
         assert rows, proc.stdout
         assert all(None not in row and None not in row.values() for row in rows)
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops after one line, as `| head -1` does: the rest of
+    # the output meets a closed pipe, which must not end in a traceback
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "run_classification.py")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    rc = proc.wait(timeout=300)
+    assert first.startswith(b"# kappa = 2")
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert rc in (0, 1)
