@@ -174,7 +174,6 @@ class FamilySpec:
     kappa: object
     sigma: FieldCoeffs
     parameter: str  # 'alpha' or 'beta'
-    degenerate_notes: tuple = ()
 
     def coefficients(self, alpha=0, B=None):
         """Exact (b, alpha, B) for a parameter value; Fractions stay exact."""
@@ -243,24 +242,13 @@ def enumerate_families(kappa) -> list:
         # drift alpha, b = (-alpha, 0, 0), B = alpha^2
         FamilySpec("chordal-drift", k, sig_par, "alpha"),
         # alpha = 0, b = (0, 2B/(kappa-8), 0)
-        FamilySpec(
-            "parabolic-beta", k, sig_par, "beta",
-            degenerate_notes=(
-                ("b_1 free at kappa = 6",) if k == 6 else ()
-            ) + (("b_0 free at kappa = 8, beta = 0",) if k == 8 else ()),
-        ),
+        FamilySpec("parabolic-beta", k, sig_par, "beta"),
         # drift alpha, b = (-alpha, -1/2, alpha/4), B = alpha^2 - 1
         FamilySpec("dipolar-drift", k, sig_hyp, "alpha"),
         # alpha = (kappa-6)/2, b_0 = (3-kappa)/2 + 2B/(kappa-8)
-        FamilySpec(
-            "hyperbolic-beta(+)", k, sig_hyp, "beta",
-            degenerate_notes=("b_1 free at kappa = 6, alpha = 0",) if k == 6 else (),
-        ),
+        FamilySpec("hyperbolic-beta(+)", k, sig_hyp, "beta"),
         # alpha = -(kappa-6)/2, b_0 = (3-kappa)/2 + 2B/(kappa-8)
-        FamilySpec(
-            "hyperbolic-beta(-)", k, sig_hyp, "beta",
-            degenerate_notes=("b_1 free at kappa = 6, alpha = 0",) if k == 6 else (),
-        ),
+        FamilySpec("hyperbolic-beta(-)", k, sig_hyp, "beta"),
     ]
     if k == 6:
         # kappa = 6 only; b = (-alpha, 1/2, -alpha/4), B = 1 + alpha^2

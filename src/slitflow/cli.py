@@ -26,6 +26,7 @@ from .classify import (
     check_bsigma,
     enumerate_families,
     solve_system,
+    system_residuals,
 )
 from .errors import (
     ConfigError,
@@ -195,11 +196,14 @@ def _cmd_classify(cfg):
         except SlitflowError as exc:
             rows.append({"family": spec.name, "note": str(exc)})
             continue
-        sol = solve_system(
-            kappa, float(spec.sigma.c1), float(spec.sigma.c2),
-            float(al), B=float(B),
-        )
-        resid = max(abs(r) for r in sol.residuals) if sol.residuals else 0.0
+        s0, s1 = float(spec.sigma.c1), float(spec.sigma.c2)
+        sol = solve_system(kappa, s0, s1, float(al), B=float(B))
+        # the family's own b must solve the system, and be its unique solution
+        errs = [*sol.residuals,
+                *system_residuals(kappa, s0, s1, float(al), float(B), b)]
+        if sol.status == "unique":
+            errs += [x - y for x, y in zip(sol.b.coeffs, b.coeffs)]
+        resid = max(abs(float(e)) for e in errs)
         ok = ok and resid < 1e-12
         rows.append({
             "family": spec.name,
@@ -223,14 +227,9 @@ def _cmd_check_identities(cfg):
     z2 = rng.uniform(-3, 3, n) + 1j * rng.uniform(0.2, 3, n)
     sig_f = FieldCoeffs.sigma_field(0.3, -0.2)
     b_f = FieldCoeffs.b_field(0.1, -0.4, 0.2)
-    sig_res = max(
-        abs(lie_green_closed(sig_f, a, b)) for a, b in zip(z1, z2)
-    )
-    b_res = max(
-        abs(lie_green_closed(b_f, a, b)
-            - 4.0 * np.imag(1 / a) * np.imag(1 / b))
-        for a, b in zip(z1, z2)
-    )
+    sig_res = float(np.max(np.abs(lie_green_closed(sig_f, z1, z2))))
+    b_res = float(np.max(np.abs(lie_green_closed(b_f, z1, z2)
+                                - 4.0 * np.imag(1 / z1) * np.imag(1 / z2))))
     rows.append({"check": "lie_sigma_green", "value": sig_res,
                  "tol": 1e-12, "passed": sig_res < 1e-12})
     rows.append({"check": "lie_b_green", "value": b_res,

@@ -183,7 +183,9 @@ class ScMap:
         dz = np.asarray(z, dtype=complex) - 1.0
         t, w = self._quad["one"]
         integral = _jacobi_sum(w, self.exp_zero, 1.0 + dz[..., None] * t)
-        return self.scale * np.exp((1.0 + self.exp_one) * np.log(dz)) * integral
+        # at vertex A itself (dz = 0) the log is -inf and the power is 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.scale * np.exp((1.0 + self.exp_one) * np.log(dz)) * integral
 
     def _h_from_zero(self, z):
         # h(z) = C_vertex + z^(1+exp_zero) * int_0^1 t^exp_zero (z t - 1)^exp_one dt

@@ -161,18 +161,22 @@ def lie_derivative(
     return total
 
 
-def lie_green_closed(v: FieldCoeffs, z1: complex, z2: complex) -> float:
-    """Closed-form Lie derivative of the half-plane Green's function.
+def lie_green_closed(v: FieldCoeffs, z1, z2):
+    """Closed-form Lie derivative of the half-plane Green's function along v,
+    acting on both points, elementwise for arrays:
 
-    Any sigma-field gives exactly 0; any b-field gives 4 Im(1/z1) Im(1/z2).
+        Re[v(z1)/(z1 - conj z2) + v(z2)/(z2 - conj z1) - (v(z1) - v(z2))/(z1 - z2)].
+
+    It vanishes for sigma-fields and equals 4 Im(1/z1) Im(1/z2) for b-fields.
     """
-    if abs(z1 - z2) < 1e-13 * max(abs(z1), abs(z2), 1.0):
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1.0)
+    if np.any(np.abs(z1 - z2) < 1e-13 * scale):
         raise CoincidentPointsError(f"coincident points {z1}, {z2}")
-    if v.kind == "sigma":
-        return 0.0
-    # b = 2*ell_{-2} + (Moebius part); ell_{-1}, ell_0, ell_1 annihilate G,
-    # so only 2*L_{ell_{-2}}G survives whatever the coefficients are.
-    return 4.0 * (1.0 / z1).imag * (1.0 / z2).imag
+    v1, v2 = eval_field(v, z1), eval_field(v, z2)
+    return np.real(v1 / (z1 - np.conj(z2)) + v2 / (z2 - np.conj(z1))
+                   - (v1 - v2) / (z1 - z2))
 
 
 def green_as_sampler(nodes: tuple) -> float:

@@ -1,7 +1,8 @@
 """Time-discretized simulation of slit flows.
 
-Driving paths, adaptive RK4 solvers for the noise-free chordal Loewner
-equation and its backward (inverse-map) flow, and the vectorized
+Driving paths, one adaptive RK4 segment integrator for the chordal Loewner
+equation that serves both its forward solution and its inverse map (the
+same equation run backward in time), and the vectorized
 Euler-Maruyama ensemble for the general flow SDE with derivative tracking
 through log w'.  The ensemble folds the Ito drifts of (w, log w')
 into one fixed Laurent polynomial each per model and steps the real and
@@ -18,7 +19,6 @@ import numpy as np
 from . import fields
 from .conformal import require_upper_half_plane
 from .errors import (
-    DomainError,
     ParameterRangeError,
     ReversalInstabilityError,
     StepExplosionError,
@@ -46,10 +46,9 @@ def _n_steps(T: float, dt: float) -> int:
 
 @dataclass(frozen=True)
 class DrivingPath:
-    """A driving process xi_t = sqrt(kappa) B_t + alpha t sampled on a uniform grid."""
+    """A driving function xi sampled on the uniform grid 0, dt, ..., T and
+    linear between grid points."""
 
-    kappa: float
-    alpha: float
     dt: float
     times: np.ndarray
     values: np.ndarray
@@ -58,23 +57,19 @@ class DrivingPath:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def xi_at(self, t: float) -> float:
-        """Linear interpolation between grid points."""
-        return float(np.interp(t, self.times, self.values))
-
 
 def zero_driving(kappa: float, alpha: float, T: float, dt: float) -> DrivingPath:
-    """Noise-free driving (xi_t = alpha t), for deterministic checks."""
+    """Noise-free driving (xi_t = alpha t), for deterministic checks; kappa
+    plays no part without noise."""
     n = _n_steps(T, dt)
     times = dt * np.arange(n + 1)
-    return DrivingPath(kappa, alpha, dt, times, alpha * times)
+    return DrivingPath(dt, times, alpha * times)
 
 
 @dataclass
 class FlowPath:
     """One trajectory of (w_t(z0), log w'_t(z0)) on the driving grid."""
 
-    times: np.ndarray
     w: np.ndarray
     log_wp: np.ndarray
 
@@ -82,102 +77,93 @@ class FlowPath:
         return int(np.sum(np.isfinite(self.w.real))) - 1
 
 
-def _rk4_segment(f, y, t0, t1, sing_dist):
-    """Adaptive RK4 from t0 to t1 with the dt_eff step clamp.
+def _loewner_segment(g: complex, lp: complex, s: float, s_end: float,
+                     t0: float, dt: float, x0: float, x1: float):
+    """Adaptive RK4 for (g, log g') under dg/dt = 2/(g - xi_t) from time s
+    to s_end, forward or backward, inside the grid segment [t0, t0 + dt] on
+    which xi runs linearly from x0 to x1.
 
-    f(t, y) is the full right side; sing_dist(y) the distance to the
-    singularity controlling the clamp.  Returns (y, reached) where reached
-    is False when the state hit the swallow threshold.
+    Each step is clamped to C_SING |g - xi_s|^2, the distance to the driving
+    value at the starting time s.  Returns (g, log g', reached), where
+    reached is False when g came within EPS_SWALLOW of xi_s.
     """
-    t = t0
-    while t < t1 - 1e-15:
-        d = sing_dist(y)
+    def xi(t):
+        fr = (t - t0) / dt
+        return (1.0 - fr) * x0 + fr * x1
+
+    def rate(g, t):
+        z = g - xi(t)
+        return 2.0 / z, -2.0 / (z * z)
+
+    xs = xi(s)
+    sign = 1.0 if s_end >= s else -1.0
+    t = s
+    while sign * (s_end - t) > 1e-15:
+        d = abs(g - xs)
         if d < EPS_SWALLOW:
-            return y, False
-        h = min(t1 - t, max(C_SING * d * d, 1e-12))
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            return g, lp, False
+        h = sign * min(sign * (s_end - t), max(C_SING * d * d, 1e-12))
+        k1, l1 = rate(g, t)
+        k2, l2 = rate(g + h / 2 * k1, t + h / 2)
+        k3, l3 = rate(g + h / 2 * k2, t + h / 2)
+        k4, l4 = rate(g + h * k3, t + h)
+        g = g + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        lp = lp + (h / 6) * (l1 + 2 * l2 + 2 * l3 + l4)
         t += h
-    return y, True
+    return g, lp, True
 
 
 def chordal_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
     """Solve the chordal Loewner ODE dg/dt = 2/(g - xi_t) at a point of the
     upper half-plane.
 
-    The state (g, log g') is advanced by adaptive RK4 with the driving path
-    linearly interpolated between grid points.  Samples of w_t = g_t - xi_t
-    and log g'_t are returned on the grid.
+    The state (g, log g') is advanced segment by segment of the driving grid
+    by _loewner_segment.  Samples of w_t = g_t - xi_t and log g'_t are
+    returned on the grid.
     """
-    z0 = complex(z0)
     require_upper_half_plane(z0)
     times, xi = driving.times, driving.values
     n = len(times) - 1
-    w_arr = np.full(n + 1, np.nan + 0j)
-    lp_arr = np.full(n + 1, np.nan + 0j)
-    w_arr[0] = z0
-    lp_arr[0] = 0.0
-    # state y = (g, log g')
-    y = np.array([z0, 0.0], dtype=complex)
-
-    def xi_lin(t, i):
-        fr = (t - times[i]) / driving.dt
-        return (1.0 - fr) * xi[i] + fr * xi[i + 1]
-
+    w_arr, lp_arr = np.full((2, n + 1), np.nan + 0j)
+    w_arr[0], lp_arr[0] = z0, 0.0
+    # numpy complex scalars: numpy rounds complex division unlike Python's
+    # complex type, and the solver's results are pinned to numpy's rounding
+    g, lp = np.complex128(z0), np.complex128(0)
     for i in range(n):
-        def rhs(t, y, i=i):
-            z = y[0] - xi_lin(t, i)
-            return np.array((2.0 / z, -2.0 / (z * z)), dtype=complex)
-
-        def dist(y, i=i):
-            # worst-case distance to xi over the segment is what matters;
-            # the current distance is a cheap safe proxy for the clamp
-            return abs(y[0] - xi[i])
-
-        y, ok = _rk4_segment(rhs, y, times[i], times[i + 1], dist)
-        w = y[0] - xi[i + 1]
+        g, lp, ok = _loewner_segment(g, lp, times[i], times[i + 1], times[i],
+                                     driving.dt, xi[i], xi[i + 1])
+        w = g - xi[i + 1]
         if not ok or abs(w) < EPS_SWALLOW:
             break
-        if not y[0].imag >= 0.0:
+        if not g.imag >= 0.0:
             raise StepExplosionError("Loewner solution left its domain")
         w_arr[i + 1] = w
-        lp_arr[i + 1] = y[1]
-    return FlowPath(times, w_arr, lp_arr)
+        lp_arr[i + 1] = lp
+    return FlowPath(w_arr, lp_arr)
 
 
 def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:
-    """Evaluate g_t^{-1}(z0) by the backward flow dz/ds = -2/(z - xi_{t-s}).
-
-    Adaptive RK4 on [0, t]; z0 must lie in the upper half-plane.
+    """Evaluate g_t^{-1}(z0): the Loewner equation integrated backward from
+    time t to 0 by _loewner_segment, starting with the partial grid segment
+    that holds t when t is off the grid.  z0 must lie in the upper
+    half-plane.
     """
-    z0 = complex(z0)
-    if z0.imag <= 0:
-        raise DomainError(f"backward flow starts in the upper half-plane: {z0}")
+    require_upper_half_plane(z0)
     if t < 0 or t > driving.horizon + 1e-12:
         raise ParameterRangeError(f"time {t} outside the driving horizon")
-    z = z0
-    s = 0.0
-    while s < t - 1e-15:
-        d = abs(z - driving.xi_at(t - s))
-        h = min(driving.dt, t - s, max(C_SING * d ** 2, 1e-10))
-
-        def rhs(s_loc, zz):
-            return -2.0 / (zz - driving.xi_at(t - s_loc))
-
-        k1 = rhs(s, z)
-        k2 = rhs(s + h / 2, z + h / 2 * k1)
-        k3 = rhs(s + h / 2, z + h / 2 * k2)
-        k4 = rhs(s + h, z + h * k3)
-        z = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if z.imag <= 0:
+    times, xi = driving.times, driving.values
+    # grid segment i spans [times[i], times[i + 1]]; t lies in segment k
+    k = min(int(np.searchsorted(times, t)), len(times) - 1) - 1
+    z, s = np.complex128(z0), t
+    for i in range(k, -1, -1):
+        z, _, ok = _loewner_segment(z, 0j, s, times[i], times[i], driving.dt,
+                                    xi[i], xi[i + 1])
+        if not ok or z.imag <= 0:
             raise ReversalInstabilityError(
                 f"backward integration left the upper half-plane at t={t}"
             )
-        s += h
-    return z
+        s = times[i]
+    return complex(z)
 
 
 @dataclass

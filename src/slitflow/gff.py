@@ -7,8 +7,9 @@ gives the truncated spectral Dirichlet energy of a test function and its
 midpoint-rule energy against the half-plane Green's function pulled back
 along a simulated flow map.
 
-Field values at arbitrary points need the tables sin(k theta), k = 1..K,
-with theta = pi (x - x0)/W along x and pi (y - y0)/H along y.  They take
+Field values at points and the mode coefficients of a test function both
+come from one place, the tables sin(k theta), k = 1..K, with
+theta = pi (x - x0)/W along x and pi (y - y0)/H along y.  They take
 one sin and one cos per point and axis; the other rows follow from the
 recurrence sin((k+1) theta) = 2 cos(theta) sin(k theta) - sin((k-1) theta),
 whose error grows like k^2 times the float64 epsilon.  The tables are laid
@@ -197,14 +198,6 @@ class EigenBasis:
             self.mask, np.sqrt(4.0 * math.pi / self.lam_box), 0.0
         )
         self.norm = 2.0 / math.sqrt(W * H)
-        # sine tables on the mesh for separable quadratures
-        xs, ys = dom.cell_centers()
-        self._sx = np.sin(
-            math.pi / W * np.outer(np.arange(1, self.m_max + 1), xs - dom.x0)
-        )
-        self._sy = np.sin(
-            math.pi / H * np.outer(np.arange(1, self.n_max + 1), ys - dom.y0)
-        )
 
     def sin_tables(self, pts):
         """sin(k theta) tables (..., m_max, P) along x and (..., n_max, P)
@@ -218,8 +211,7 @@ class EigenBasis:
 
     def testfn_coeff_box(self, patch: SupportPatch) -> np.ndarray:
         """(e_k, p) by mesh quadrature, on the dense frequency box."""
-        su = self._sx[:, patch.ix]  # (m_max, P)
-        sv = self._sy[:, patch.iy]
+        su, sv = self.sin_tables(patch.centers)  # (m_max, P), (n_max, P)
         box = (su * patch.weights) @ sv.T
         return self.norm * box * self.mask
 

@@ -369,20 +369,16 @@ class CouplingResult:
 def _coupling_chunk(args):
     """One independently seeded batch of joint flow/field samples."""
     chunk_seed, m, T, dt, bump, alpha = args
-    kappa = 4.0
     dom = RectDomain()
     basis = eigen_basis(dom)
     patch = patch_from_testfn(dom, bump)
-    model = _family_model("chordal", kappa, alpha)
-    two_a = 2.0 * CftParams(kappa).a
+    model = _family_model("chordal", 4.0, alpha)
     flow_ss, field_ss = chunk_seed.spawn(2)
     res = simulate_ensemble(model, patch.centers, m, T, dt,
                             np.random.default_rng(flow_ss))
     flagged = int(np.count_nonzero(~res.alive.all(axis=1)))
-    u_T = (
-        two_a * np.angle(res.w)
-        + alpha * CftParams(kappa).a * res.w.imag
-    ) @ patch.weights
+    # at kappa = 4, mu = -2 bb = 0: u_T has no log w' term, value is all of it
+    u_T = build_u(model).value(res.w) @ patch.weights
     xi = np.random.default_rng(field_ss).standard_normal(
         (m,) + basis.scale_box.shape
     )
@@ -410,11 +406,8 @@ def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
     bump = bump or TestFn(1.5j, 0.3)
     basis = eigen_basis(dom)
     patch = patch_from_testfn(dom, bump)
-    two_a = 2.0 * CftParams(4.0).a
-    u_static = two_a * np.angle(patch.centers) + alpha * CftParams(
-        4.0
-    ).a * patch.centers.imag
-    mean_target = float(u_static @ patch.weights)
+    u = build_u(_family_model("chordal", 4.0, alpha))
+    mean_target = float(u.value(patch.centers) @ patch.weights)
     var_target = basis.energy_spectral(patch)
 
     sizes = [chunk] * (n_samples // chunk)

@@ -94,12 +94,18 @@ def test_degenerate_kappa_eight_raises():
         fams["hyperbolic-beta(+)"].coefficients(B=Fraction(1, 2))
 
 
-def test_degenerate_notes_recorded():
-    fams6 = _families(Fraction(6))
-    assert fams6["parabolic-beta"].degenerate_notes
-    assert fams6["hyperbolic-beta(+)"].degenerate_notes
-    fams8 = _families(Fraction(8))
-    assert any("kappa = 8" in n for n in fams8["parabolic-beta"].degenerate_notes)
+def test_kappa_six_free_families():
+    # at kappa = 6, alpha = 0 the system leaves b_1 free: solve_system
+    # reports it for parabolic-beta and both hyperbolic-beta families
+    free = {"parabolic-beta", "hyperbolic-beta(+)", "hyperbolic-beta(-)"}
+    kappa = Fraction(6)
+    for spec in enumerate_families(kappa):
+        if spec.parameter == "alpha":
+            b, alpha, B = spec.coefficients(alpha=Fraction(1, 3))
+        else:
+            b, alpha, B = spec.coefficients(B=Fraction(2, 9))
+        res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
+        assert res.status == ("free" if spec.name in free else "unique"), spec.name
 
 
 def test_cft_params_identities():

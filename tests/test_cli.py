@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from slitflow import fields
+from slitflow.classify import FamilySpec
 from slitflow.cli import main
 
 RUN = [sys.executable, "-m", "slitflow.cli"]
@@ -34,6 +37,23 @@ def test_classify_json_format(capsys):
     names = {r["family"] for r in payload["rows"]}
     assert "radial6-drift" in names
     assert payload["header"]["tool"] == "slitflow"
+
+
+def test_classify_fails_when_the_family_b_is_wrong(monkeypatch, capsys):
+    # the round trip compares each family's own b with the system, not only
+    # the solver with its own solution: shifting every b_{-1} by 1 must fail
+    coefficients = FamilySpec.coefficients
+
+    def shifted(self, *args, **kwargs):
+        b, alpha, B = coefficients(self, *args, **kwargs)
+        return fields.FieldCoeffs("b", b.c1 + 1, b.c2, b.c3), alpha, B
+
+    monkeypatch.setattr(FamilySpec, "coefficients", shifted)
+    rc = main(["classify", "--kappa", "4", "--alpha", "0.3", "--format",
+               "json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rc == 1
+    assert len(rows) == 5 and not any(r["passed"] for r in rows)
 
 
 def test_ndjson_format(capsys):
@@ -180,6 +200,25 @@ def test_check_identities_exits_zero(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "lie_b_green" in out
+
+
+def test_check_identities_catches_a_wrong_b_field(monkeypatch, capsys):
+    # the lie_*_green rows compute the Lie derivative of G from the field
+    # values; a b-field perturbed by 1e-3 z^3 leaves the b-field shape, so
+    # its Lie derivative is no longer 4 Im(1/z1) Im(1/z2) and the row fails
+    eval_field = fields.eval_field
+
+    def perturbed(c, z):
+        v = eval_field(c, z)
+        return v + 1e-3 * np.asarray(z) ** 3 if c.kind == "b" else v
+
+    monkeypatch.setattr(fields, "eval_field", perturbed)
+    rc = main(["check-identities", "--kappa", "4", "--alpha", "0.3",
+               "--seed", "1", "--n-pairs", "50", "--format", "json"])
+    rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert rc == 1
+    assert not rows["lie_b_green"]["passed"]
+    assert rows["lie_sigma_green"]["passed"]
 
 
 def test_gff_couple_deterministic_across_threads(tmp_path):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,14 @@ def test_sc_map_angles_and_vertices(kappa, alpha):
     assert sm.h(1.0) == pytest.approx(tri.vertex_a, abs=1e-10)
     assert sm(60.0 + 1.5j) == pytest.approx(tri.vertex_b, abs=1e-9)
     assert sm(-60.0 + 1.5j) == pytest.approx(tri.vertex_c, abs=1e-9)
+
+
+def test_sc_map_at_vertex_a_is_warning_free():
+    # h(1) is vertex A; the chart there takes log 0 = -inf on purpose
+    sm = sc_map_build(6.0, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sm.h(1.0) == sm.triangle.vertex_a
 
 
 @pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2)])

@@ -30,7 +30,7 @@ def _brownian_driving(kappa, alpha, T, dt, seed):
     times = dt * np.arange(n + 1)
     steps = np.random.default_rng(seed).standard_normal(n) * math.sqrt(kappa * dt)
     values = np.concatenate(([0.0], np.cumsum(steps))) + alpha * times
-    return DrivingPath(kappa, alpha, dt, times, values)
+    return DrivingPath(dt, times, values)
 
 
 def test_zero_driving_chordal_matches_closed_form():
@@ -56,6 +56,33 @@ def test_inverse_map_round_trips_forward_map():
     assert abs(back - (0.4 + 1.3j)) < 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 6, 13])
+def test_inverse_map_off_grid_matches_finer_grid(seed):
+    # the backward walk starts with the partial segment that holds an
+    # off-grid t and then follows the grid segments, on which xi is linear,
+    # so no step straddles a kink of xi; the same xi sampled on a grid 20
+    # times finer is the reference
+    drv = _brownian_driving(6.0, 0.0, 0.5, 1e-3, seed)
+    fine_times = (drv.dt / 20) * np.arange(20 * (len(drv.times) - 1) + 1)
+    fine = DrivingPath(drv.dt / 20, fine_times,
+                       np.interp(fine_times, drv.times, drv.values))
+    path = chordal_loewner(drv, 0.5 + 1.2j)
+    assert path.last_alive_index() == len(drv.times) - 1
+    g_T = path.w[-1] + drv.values[-1]
+    t = 0.25037
+    ref = inverse_map(fine, g_T, t)
+    assert abs(inverse_map(drv, g_T, t) - ref) < 1e-5 * abs(ref)
+
+
+def test_inverse_map_rejects_bad_start_and_time():
+    drv = zero_driving(4.0, 0.0, 0.1, 1e-3)
+    with pytest.raises(DomainError):
+        inverse_map(drv, 1.0 - 0.5j, 0.05)
+    for t in (-0.01, 0.2):
+        with pytest.raises(ParameterRangeError):
+            inverse_map(drv, 1j, t)
+
+
 def test_capacity_normalization_far_point():
     drv = zero_driving(4.0, 0.0, 1.0, 1e-3)
     path = chordal_loewner(drv, 100j)
@@ -74,9 +101,6 @@ def test_driving_path_shape_and_interp():
     drv = _brownian_driving(4.0, 0.5, 0.2, 1e-2, seed=3)
     assert drv.horizon == pytest.approx(0.2)
     assert drv.values[0] == 0.0
-    assert drv.xi_at(0.015) == pytest.approx(
-        0.5 * (drv.values[1] + drv.values[2])
-    )
     with pytest.raises(ParameterRangeError):
         zero_driving(4.0, 0.0, 1.0, 2.0)
     # a step that does not divide the horizon would silently stop short of T

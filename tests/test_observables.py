@@ -8,7 +8,7 @@ import pytest
 
 from slitflow.classify import CftParams, build_u, enumerate_families
 from slitflow.flow import chordal_loewner, zero_driving
-from slitflow.gff import RectDomain, TestFn, patch_from_testfn
+from slitflow.gff import RectDomain, TestFn as Bump, patch_from_testfn
 from slitflow.observables import (
     cardy_zhan,
     chordal_vertex_log,
@@ -95,7 +95,7 @@ def test_drift_modified_coupling_law():
     assert abs(res.mean - res.mean_target) < 5.0 * res.se
     assert abs(res.variance - res.var_target) < 5.0 * se_var
     assert res.flagged == 0
-    patch = patch_from_testfn(RectDomain(), TestFn(1.5j, 0.3))
+    patch = patch_from_testfn(RectDomain(), Bump(1.5j, 0.3))
     target_alpha0 = float(
         2.0 * CftParams(4.0).a * np.angle(patch.centers) @ patch.weights
     )
