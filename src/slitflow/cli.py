@@ -104,10 +104,13 @@ def _emit(rows, config, out_path, fmt):
         lines.append(f"# slitflow {__version__}")
         lines.append("# config " + json.dumps(config, sort_keys=True, default=_fmt))
         if rows:
-            cols = list(rows[0].keys())
+            # rows may differ in keys (a note-only row for a family whose
+            # coefficients raise): the columns are their union in first-seen
+            # order, and a row's missing cells are left empty
+            cols = list(dict.fromkeys(c for r in rows for c in r))
             lines.append(",".join(cols))
             for r in rows:
-                lines.append(",".join(_fmt(r[c]) for c in cols))
+                lines.append(",".join(_fmt(r[c]) if c in r else "" for c in cols))
     text = "\n".join(lines) + "\n"
     if out_path:
         try:

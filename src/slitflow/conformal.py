@@ -22,7 +22,7 @@ from .errors import (
 
 COINCIDENT_TOL = 1e-13
 TRIANGLE_TOL = 1e-7  # relative slack before a point counts as outside
-_SC_QUAD_ORDER = 48
+_SC_QUAD_ORDER = 48  # nodes of each vertex chart's Golub-Welsch Gauss-Jacobi rule
 
 
 def require_upper_half_plane(z) -> None:
@@ -97,6 +97,28 @@ def barycentric(point, tri: TriangleSpec):
     return abc / (a + b + c)[..., None]
 
 
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _gauss_jacobi(n: int, e: float):
+    """Golub-Welsch n-point Gauss rule on [-1, 1] for the weight (1 + x)^e.
+
+    Needs e > -1 and e != 0.  The nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the Jacobi polynomials P^(0, e); the weights
+    are mu0 * v0^2, with v0 the first components of the unit eigenvectors and
+    mu0 = 2^(e+1) B(1, e+1) = 2^(e+1) / (e+1) the mass of the weight
+    (Golub & Welsch, Math. Comp. 23, 1969).
+    """
+    t = 2.0 * np.arange(n) + e
+    diag = e * e / (t * (t + 2.0))
+    k, s = np.arange(1.0, n), t[1:]
+    off = 2.0 * k * (k + e) / (s * np.sqrt(s * s - 1.0))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (e + 1.0) / (e + 1.0) * vecs[0] ** 2
+
+
 def _jacobi_sum(w, exponent, base):
     """Gauss-Jacobi sum over the last axis: sum_k w_k base_k^exponent (principal branch)."""
     return (w * np.exp(exponent * np.log(base))).sum(-1)
@@ -113,7 +135,9 @@ class ScMap:
         h'(z) = C * z**exp_zero * (z - 1)**exp_one
 
     with exp_one = -4/kappa and exp_zero = -1 + 2(1+alpha)/kappa, principal
-    branches throughout.
+    branches throughout.  The vertices come from Euler beta integrals (by
+    lgamma); h itself is a Gauss-Jacobi sum in the chart of the nearest
+    vertex, with a _SC_QUAD_ORDER-point Golub-Welsch rule per vertex.
     """
 
     kappa: float
@@ -129,9 +153,6 @@ class ScMap:
             raise ParameterRangeError("kappa must exceed 4")
         if not (-1.0 < self.alpha < 1.0):
             raise ParameterRangeError("alpha must lie in (-1, 1)")
-        # scipy.special loads with the first map, not with the package
-        from scipy.special import betaln, roots_jacobi
-
         k, al = self.kappa, self.alpha
         self.exp_one = -4.0 / k
         self.exp_zero = -1.0 + 2.0 * (1.0 + al) / k
@@ -139,8 +160,8 @@ class ScMap:
 
         # Raw vertices from Euler beta integrals of h' with unit prefactor,
         # h(1) = 0.  B is reached along (1, inf), C along (1, 0).
-        b_raw = math.exp(betaln(self.exp_inf + 1.0, self.exp_one + 1.0))
-        c_mod = math.exp(betaln(self.exp_zero + 1.0, self.exp_one + 1.0))
+        b_raw = math.exp(_log_beta(self.exp_inf + 1.0, self.exp_one + 1.0))
+        c_mod = math.exp(_log_beta(self.exp_zero + 1.0, self.exp_one + 1.0))
         c_raw = -c_mod * cmath.exp(1j * math.pi * self.exp_one)
         # Normalize: A at the origin, B at 1 on the positive real axis.
         self.scale = 1.0 / b_raw
@@ -158,7 +179,7 @@ class ScMap:
         self._quad = {}
         for name, e in (("one", self.exp_one), ("zero", self.exp_zero),
                         ("inf", self.exp_inf)):
-            nodes, weights = roots_jacobi(_SC_QUAD_ORDER, 0.0, e)
+            nodes, weights = _gauss_jacobi(_SC_QUAD_ORDER, e)
             self._quad[name] = (0.5 * (nodes + 1.0), weights * 0.5 ** (e + 1.0))
 
     # -- half-plane chart ------------------------------------------------

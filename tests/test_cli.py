@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slitflow import fields
-from slitflow.classify import FamilySpec
+from slitflow.classify import FamilySpec, enumerate_families
 from slitflow.cli import main
 
 RUN = [sys.executable, "-m", "slitflow.cli"]
@@ -27,6 +27,19 @@ def test_classify_exits_zero_and_emits_csv(capsys):
     assert lines[1].startswith("# config")
     assert "family" in lines[2]
     assert any("chordal-drift" in ln for ln in lines[3:])
+
+
+def test_classify_csv_keeps_note_only_rows():
+    # at kappa = 8 three families degenerate and write a note-only row; the
+    # CSV takes the union of the columns and leaves the missing cells empty
+    proc = _run(["classify", "--kappa", "8"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    header, *rows = [r.split(",") for r in proc.stdout.splitlines()[2:]]
+    assert header[-1] == "note" and all(len(r) == len(header) for r in rows)
+    assert [r[0] for r in rows] == [f.name for f in enumerate_families(8.0)]
+    notes = [r for r in rows if r[-1]]
+    assert len(notes) == 3 and all(c == "" for r in notes for c in r[1:-1])
 
 
 def test_classify_json_format(capsys):

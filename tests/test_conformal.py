@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slitflow.conformal import (
+    _SC_QUAD_ORDER,
     ScMap,
     TriangleSpec,
+    _gauss_jacobi,
     barycentric,
     green_half_plane,
     green_half_plane_grid,
@@ -177,3 +179,33 @@ def test_batched_oracle_raises_for_the_batch():
     tri = sm.triangle
     with pytest.raises(OutsideTriangleError):
         barycentric(np.array([0.5 * tri.vertex_c, -1.0 - 1.0j]), tri)
+
+
+@pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2)])
+def test_golub_welsch_rule_matches_scipy_and_exact_moments(kappa, alpha):
+    # the numpy rule against scipy's, for the three vertex exponents of each
+    # criterion-8 map, and both against the exact moments
+    # int_{-1}^{1} (1+x)^e ((1+x)/2)^j dx = 2^(e+1) / (e+j+1), j < 96
+    from scipy.special import roots_jacobi
+
+    sm = sc_map_build(kappa, alpha)
+    j = np.arange(2 * _SC_QUAD_ORDER)
+    for e in (sm.exp_one, sm.exp_zero, sm.exp_inf):
+        nodes, weights = _gauss_jacobi(_SC_QUAD_ORDER, e)
+        ref_nodes, ref_weights = roots_jacobi(_SC_QUAD_ORDER, 0.0, e)
+        assert np.abs(nodes - ref_nodes).max() < 1e-14, e
+        assert (np.abs(weights - ref_weights) / ref_weights).max() < 1e-10, e
+        moments = weights @ ((1.0 + nodes[:, None]) / 2.0) ** j
+        exact = 2.0 ** (e + 1.0) / (e + j + 1.0)
+        assert (np.abs(moments - exact) / exact).max() < 1e-13, e
+
+
+@pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2)])
+def test_vertex_c_matches_the_betaln_route(kappa, alpha):
+    from scipy.special import betaln
+
+    sm = sc_map_build(kappa, alpha)
+    b_raw = math.exp(betaln(sm.exp_inf + 1.0, sm.exp_one + 1.0))
+    c_mod = math.exp(betaln(sm.exp_zero + 1.0, sm.exp_one + 1.0))
+    c_ref = -c_mod * cmath.exp(1j * math.pi * sm.exp_one) / b_raw
+    assert abs(sm.triangle.vertex_c - c_ref) < 1e-14

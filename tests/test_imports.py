@@ -1,7 +1,8 @@
 """Every name a slitflow module imports is used in that module, every
 module-level definition is reachable from the CLI, the acceptance criteria,
-the scripts or the benchmark, and subcommands that need no scipy routine
-start on numpy alone."""
+the scripts or the benchmark, scipy is imported only inside functions of
+``stats.py`` (the KS test), and subcommands that run no KS test start on
+numpy alone."""
 
 import ast
 import os
@@ -98,14 +99,45 @@ def test_import_does_not_load_scipy_stats():
     assert "scipy.stats" not in loaded, loaded
 
 
+def _scipy_imports(tree: ast.Module) -> set:
+    """Line numbers of the imports of scipy or its submodules in ``tree``."""
+    return {
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "scipy")
+    }
+
+
+def test_scipy_is_imported_only_inside_stats_functions():
+    # only the KS test needs scipy (its statistic is pinned to scipy's ndtr);
+    # a function-level import keeps it out of every other call's start-up
+    found = []
+    for path in _modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = _scipy_imports(tree)
+        in_functions = set().union(*(
+            _scipy_imports(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ))
+        found += [f"{path.name}:{line}" for line in sorted(lines)
+                  if path.name != "stats.py" or line not in in_functions]
+    assert not found, "scipy imported outside stats.py functions: " + ", ".join(found)
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--kappa", "6"],
     ["check-identities", "--kappa", "6", "--seed", "1", "--n-pairs", "10"],
     ["simulate", "--seed", "1", "--n-paths", "4"],
+    ["sc-residual", "--kappa", "8", "--alpha", "0.2", "--z", "2i"],
+    ["cardy-zhan", "--seed", "1", "--n-paths", "20", "--dt", "2e-3",
+     "--t-max", "20"],
 ])
-def test_subcommands_without_sc_map_or_ks_test_load_no_scipy(argv):
+def test_subcommands_without_ks_test_load_no_scipy(argv):
     # one fresh interpreter per subcommand: scipy loads only with the first
-    # Schwarz-Christoffel map or KS test, which these never build
+    # KS test, which these never run; the Schwarz-Christoffel map that
+    # sc-residual and cardy-zhan build is numpy alone
     code = f"from slitflow.cli import main\nassert main({argv!r}) == 0"
     loaded = _loaded_after(code)
     assert not loaded, loaded
