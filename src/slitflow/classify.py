@@ -6,8 +6,8 @@ harmonic observable u by partial fractions, and verifies the generator
 annihilation and the b-sigma compatibility relation.
 
 The only irrational quantity entering the system is B := beta*sqrt(kappa),
-so everything is solved in exact rational arithmetic whenever the inputs
-(including B) are rational.
+so the system is written in B and solved in exact rational arithmetic: a
+float input enters as the binary fraction it stores.
 """
 
 from __future__ import annotations
@@ -49,22 +49,15 @@ class CftParams:
 
 @dataclass(frozen=True)
 class FlowModel:
-    """One slit flow together with its coupled-modification data."""
+    """One slit flow together with its coupled-modification data; B is
+    beta*sqrt(kappa)."""
 
     kappa: float
     alpha: float
-    beta: float
+    B: float
     b: FieldCoeffs
     sigma: FieldCoeffs
     cft: CftParams
-
-    @property
-    def B(self) -> float:
-        return float(self.beta) * math.sqrt(float(self.kappa))
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 def system_matrix(kappa, sigma0, sigma1, alpha, B):
@@ -92,20 +85,16 @@ def system_residuals(kappa, sigma0, sigma1, alpha, B, b: FieldCoeffs):
     return [sum(r[j] * x[j] for j in range(3)) - t for r, t in zip(rows, rhs)]
 
 
-def _row_reduce(rows, rhs, exact: bool):
-    """Gaussian elimination with rank bookkeeping over Fractions or floats."""
+def _row_reduce(rows, rhs):
+    """Gauss-Jordan elimination over Fractions, with exact rank bookkeeping."""
     # coerce every entry: an int pivot would otherwise true-divide into floats
-    cast = Fraction if exact else float
-    m = [[cast(e) for e in list(r) + [t]] for r, t in zip(rows, rhs)]
+    m = [[Fraction(e) for e in list(r) + [t]] for r, t in zip(rows, rhs)]
     nrow, ncol = len(m), 3
-    tol = 0.0 if exact else 1e-11 * max(
-        1.0, max(abs(float(e)) for row in m for e in row)
-    )
     pivots = []
     r = 0
     for c in range(ncol):
-        pivot = max(range(r, nrow), key=lambda i: abs(float(m[i][c])), default=None)
-        if pivot is None or abs(float(m[pivot][c])) <= tol:
+        pivot = next((i for i in range(r, nrow) if m[i][c] != 0), None)
+        if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
@@ -116,13 +105,10 @@ def _row_reduce(rows, rhs, exact: bool):
                 m[i] = [e - f * p for e, p in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == nrow:
-            break
     inconsistent = any(
-        all(abs(float(e)) <= tol for e in row[:ncol]) and abs(float(row[ncol])) > max(tol, 1e-9 if not exact else 0)
-        for row in m
+        all(e == 0 for e in row[:ncol]) and row[ncol] != 0 for row in m
     )
-    x = [Fraction(0) if exact else 0.0] * ncol
+    x = [Fraction(0)] * ncol
     for i, c in enumerate(pivots):
         x[c] = m[i][ncol]
     free = [c for c in range(ncol) if c not in pivots]
@@ -139,31 +125,23 @@ class SolveResult:
 
 
 def solve_system(kappa, sigma0, sigma1, alpha, *, B) -> SolveResult:
-    """Solve for the b coefficients given (kappa, sigma, alpha, B).
+    """Solve exactly for the b coefficients given (kappa, sigma, alpha, B).
 
-    B = beta*sqrt(kappa) (a Fraction, with rational other inputs, for exact
-    arithmetic).  Free coefficients at degenerate kappa give status 'free'
-    and are set to zero in the returned particular solution.
+    B = beta*sqrt(kappa).  Every input is converted with Fraction, a float
+    to the binary fraction it stores, so rank and consistency are exact and
+    the residuals are Fractions.  Free coefficients at degenerate kappa give
+    status 'free' and are set to zero in the returned particular solution.
     """
-    exact = all(_is_exact(v) for v in (kappa, sigma0, sigma1, alpha, B))
-    if exact:
-        kappa, sigma0, sigma1, alpha, B = (
-            Fraction(v) for v in (kappa, sigma0, sigma1, alpha, B)
-        )
-    else:
-        kappa, sigma0, sigma1, alpha, B = (
-            float(v) for v in (kappa, sigma0, sigma1, alpha, B)
-        )
+    kappa, sigma0, sigma1, alpha, B = (
+        Fraction(v) for v in (kappa, sigma0, sigma1, alpha, B)
+    )
     rows, rhs = system_matrix(kappa, sigma0, sigma1, alpha, B)
-    x, free, inconsistent = _row_reduce(rows, rhs, exact)
-    if inconsistent:
-        bf = FieldCoeffs("b", *x)
-        res = tuple(system_residuals(kappa, sigma0, sigma1, alpha, B, bf))
-        return SolveResult("inconsistent", None, res)
+    x, free, inconsistent = _row_reduce(rows, rhs)
     b = FieldCoeffs("b", *x)
     res = tuple(system_residuals(kappa, sigma0, sigma1, alpha, B, b))
-    status = "free" if free else "unique"
-    return SolveResult(status, b, res)
+    if inconsistent:
+        return SolveResult("inconsistent", None, res)
+    return SolveResult("free" if free else "unique", b, res)
 
 
 @dataclass(frozen=True)
@@ -171,23 +149,27 @@ class FamilySpec:
     """A one-parameter family of coupled flows with exact coefficient formulas."""
 
     name: str
-    kappa: object
+    kappa: Fraction
     sigma: FieldCoeffs
     parameter: str  # 'alpha' or 'beta'
 
     def coefficients(self, alpha=0, B=None):
-        """Exact (b, alpha, B) for a parameter value; Fractions stay exact."""
+        """Exact (b, alpha, B) for a parameter value, as Fractions; a float
+        parameter enters as the binary fraction it stores."""
         k = self.kappa
-        half = Fraction(1, 2) if _is_exact(alpha) and _is_exact(k) else 0.5
-        eighth = half / 4
-        if self.name == "chordal-drift":
-            return FieldCoeffs("b", -alpha, 0 * alpha, 0 * alpha), alpha, alpha * alpha
-        if self.name == "parabolic-beta":
+        alpha = Fraction(alpha)
+        half, eighth = Fraction(1, 2), Fraction(1, 8)
+        if self.parameter == "beta":
+            family = self.name.split("(")[0]
             if B is None:
-                raise ParameterRangeError("parabolic-beta is parametrized by B")
+                raise ParameterRangeError(f"{family} is parametrized by B")
             if k == 8:
-                raise ParameterRangeError("parabolic-beta degenerates at kappa = 8")
-            return FieldCoeffs("b", 0 * B, 2 * B / (k - 8), 0 * B), 0 * B, B
+                raise ParameterRangeError(f"{family} degenerates at kappa = 8")
+            B = Fraction(B)
+        if self.name == "chordal-drift":
+            return FieldCoeffs("b", -alpha, 0, 0), alpha, alpha * alpha
+        if self.name == "parabolic-beta":
+            return FieldCoeffs("b", 0, 2 * B / (k - 8), 0), Fraction(0), B
         if self.name == "dipolar-drift":
             return (
                 FieldCoeffs("b", -alpha, -half, alpha / 4),
@@ -195,10 +177,6 @@ class FamilySpec:
                 alpha * alpha - 1,
             )
         if self.name.startswith("hyperbolic-beta"):
-            if B is None:
-                raise ParameterRangeError("hyperbolic-beta is parametrized by B")
-            if k == 8:
-                raise ParameterRangeError("hyperbolic-beta degenerates at kappa = 8")
             s = 1 if self.name.endswith("(+)") else -1
             al = s * (k - 6) * half
             b0 = (3 - k) * half + 2 * B / (k - 8)
@@ -218,11 +196,10 @@ class FamilySpec:
             b, al, Bc = self.coefficients(alpha=alpha)
         else:
             b, al, Bc = self.coefficients(B=B if B is not None else 0)
-        beta_val = float(Bc) / math.sqrt(k)
         return FlowModel(
             kappa=k,
             alpha=float(al),
-            beta=beta_val,
+            B=float(Bc),
             b=b,
             sigma=self.sigma,
             cft=CftParams(k),
@@ -231,13 +208,12 @@ class FamilySpec:
 
 def enumerate_families(kappa) -> list:
     """The coupled-flow families at this kappa, with exact coefficient formulas."""
-    if not kappa > 0:
-        raise ParameterRangeError("kappa must be positive")
-    exact = _is_exact(kappa)
-    k = Fraction(kappa) if exact else float(kappa)
+    if not (kappa > 0 and math.isfinite(kappa)):
+        raise ParameterRangeError("kappa must be positive and finite")
+    k = Fraction(kappa)
     sig_par = FieldCoeffs("sigma", 0, 0)
-    sig_hyp = FieldCoeffs("sigma", 0, Fraction(-1, 4) if exact else -0.25)
-    sig_ell = FieldCoeffs("sigma", 0, Fraction(1, 4) if exact else 0.25)
+    sig_hyp = FieldCoeffs("sigma", 0, Fraction(-1, 4))
+    sig_ell = FieldCoeffs("sigma", 0, Fraction(1, 4))
     out = [
         # drift alpha, b = (-alpha, 0, 0), B = alpha^2
         FamilySpec("chordal-drift", k, sig_par, "alpha"),

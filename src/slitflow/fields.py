@@ -6,7 +6,7 @@ The two field shapes are
     sigma(z) = -(1 + sigma_0 z + sigma_1 z^2),
 
 with real coefficients.  This module evaluates them and computes Lie
-derivatives of conformal fields, numerically and in closed form on the
+derivatives of scalar fields, numerically and in closed form on the
 half-plane Green's function.
 """
 
@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .conformal import green_half_plane
 from .errors import (
     CoincidentPointsError,
     FiniteDifferenceError,
@@ -99,17 +98,6 @@ def eval_field_prime(c: FieldCoeffs, z):
     return -float(c.c1) - 2.0 * float(c.c2) * z
 
 
-@dataclass(frozen=True)
-class ConformalWeight:
-    """Transformation weight (lambda, lambda_*) of a conformal differential."""
-
-    lam: complex
-    lam_star: complex
-
-
-SCALAR = ConformalWeight(0.0, 0.0)
-
-
 def _wirtinger(f: Callable, nodes: tuple, k: int, h: float):
     """Central-difference Wirtinger derivatives (d, dbar) of f in node k."""
     zs = list(nodes)
@@ -117,7 +105,7 @@ def _wirtinger(f: Callable, nodes: tuple, k: int, h: float):
 
     def at(dz):
         zs[k] = z + dz
-        return complex(f(tuple(zs)))
+        return complex(f(*zs))
 
     fx = (at(h) - at(-h)) / (2.0 * h)
     fy = (at(1j * h) - at(-1j * h)) / (2.0 * h)
@@ -125,27 +113,17 @@ def _wirtinger(f: Callable, nodes: tuple, k: int, h: float):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def lie_derivative(
-    v: FieldCoeffs,
-    f: Callable,
-    weights,
-    nodes: Sequence[complex],
-) -> complex:
-    """Multi-node Lie derivative of a sampled conformal field.
+def lie_derivative(v: FieldCoeffs, f: Callable, nodes: Sequence[complex]) -> complex:
+    """Multi-node Lie derivative of a scalar field f(z_1, ..., z_n):
 
-    f maps a tuple of node positions to a scalar; weights is one
-    ConformalWeight per node (or a single weight applied to every node).
-    Derivatives are central finite differences with a two-step consistency
-    check.
+        sum_k v(z_k) d_k f + conj(v(z_k)) dbar_k f.
+
+    The Wirtinger derivatives are central finite differences with a
+    two-step consistency check.
     """
     nodes = tuple(complex(z) for z in nodes)
-    if isinstance(weights, ConformalWeight):
-        weights = [weights] * len(nodes)
-    if len(weights) != len(nodes):
-        raise ParameterRangeError("need one weight per node")
-    f0 = complex(f(nodes))
     total = 0.0 + 0.0j
-    for k, (z, wt) in enumerate(zip(nodes, weights)):
+    for k, z in enumerate(nodes):
         h = H_FD_SCALE * max(1.0, abs(z))
         d1, db1 = _wirtinger(f, nodes, k, h)
         d2, db2 = _wirtinger(f, nodes, k, h / 2.0)
@@ -155,9 +133,7 @@ def lie_derivative(
                 f"finite-difference estimates disagree at node {z}"
             )
         vk = eval_field(v, z)
-        vpk = eval_field_prime(v, z)
         total += vk * d2 + np.conj(vk) * db2
-        total += (wt.lam * vpk + wt.lam_star * np.conj(vpk)) * f0
     return total
 
 
@@ -177,9 +153,3 @@ def lie_green_closed(v: FieldCoeffs, z1, z2):
     v1, v2 = eval_field(v, z1), eval_field(v, z2)
     return np.real(v1 / (z1 - np.conj(z2)) + v2 / (z2 - np.conj(z1))
                    - (v1 - v2) / (z1 - z2))
-
-
-def green_as_sampler(nodes: tuple) -> float:
-    """Adapter exposing G_H as a two-node sampler for lie_derivative."""
-    return green_half_plane(nodes[0], nodes[1])
-

@@ -58,9 +58,8 @@ class DrivingPath:
         return float(self.times[-1])
 
 
-def zero_driving(kappa: float, alpha: float, T: float, dt: float) -> DrivingPath:
-    """Noise-free driving (xi_t = alpha t), for deterministic checks; kappa
-    plays no part without noise."""
+def zero_driving(alpha: float, T: float, dt: float) -> DrivingPath:
+    """Noise-free driving (xi_t = alpha t), for deterministic checks."""
     n = _n_steps(T, dt)
     times = dt * np.arange(n + 1)
     return DrivingPath(dt, times, alpha * times)

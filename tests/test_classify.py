@@ -86,6 +86,13 @@ def test_solve_system_roundtrip_exact(kappa):
         assert all(abs(float(r)) < 1e-12 for r in direct)
 
 
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan, math.inf])
+def test_enumerate_families_rejects_bad_kappa(kappa):
+    # Fraction(inf) would raise OverflowError: the range check comes first
+    with pytest.raises(ParameterRangeError):
+        enumerate_families(kappa)
+
+
 def test_degenerate_kappa_eight_raises():
     fams = _families(Fraction(8))
     with pytest.raises(ParameterRangeError):
@@ -106,6 +113,26 @@ def test_kappa_six_free_families():
             b, alpha, B = spec.coefficients(B=Fraction(2, 9))
         res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
         assert res.status == ("free" if spec.name in free else "unique"), spec.name
+
+
+def test_float_kappa_near_six_solves_exactly():
+    # a float enters as the binary fraction it stores: at kappa = 6 + 1e-12
+    # the system is nonsingular for every family, and exact elimination
+    # finds the family's own b with every residual exactly 0
+    kappa = 6 + 1e-12
+    for spec in enumerate_families(kappa):
+        if spec.parameter == "alpha":
+            b, alpha, B = spec.coefficients(alpha=0.3)
+        else:
+            b, alpha, B = spec.coefficients(B=0.5)
+        res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
+        assert res.status == "unique", spec.name
+        assert res.b.coeffs == b.coeffs, spec.name
+        direct = system_residuals(
+            spec.kappa, spec.sigma.c1, spec.sigma.c2, alpha, B, b
+        )
+        for r in (*res.residuals, *direct):
+            assert isinstance(r, Fraction) and r == 0, spec.name
 
 
 def test_cft_params_identities():

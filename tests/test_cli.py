@@ -42,6 +42,19 @@ def test_classify_csv_keeps_note_only_rows():
     assert len(notes) == 3 and all(c == "" for r in notes for c in r[1:-1])
 
 
+@pytest.mark.parametrize("kappa", ["7.999999", "6.00000000001"])
+def test_classify_is_exact_near_degenerate_kappa(kappa, capsys):
+    # the round trip runs in Fractions, so near kappa = 8 and kappa = 6 no
+    # pivot is lost to a tolerance and a right family b leaves residual 0
+    rc = main(["classify", "--kappa", kappa, "--alpha", "0.3"])
+    lines = capsys.readouterr().out.splitlines()[2:]
+    header, *rows = [ln.split(",") for ln in lines]
+    assert rc == 0
+    col = header.index("roundtrip_residual")
+    assert len(rows) == 5 and all(r[col] == "0" for r in rows)
+    assert not any(c == "-0" for r in rows for c in r)
+
+
 def test_classify_json_format(capsys):
     rc = main(["classify", "--kappa", "6", "--format", "json"])
     out = capsys.readouterr().out
@@ -213,6 +226,20 @@ def test_check_identities_exits_zero(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "lie_b_green" in out
+
+
+def test_check_identities_writes_note_rows_for_degenerate_families(capsys):
+    # at kappa = 8 parabolic-beta and hyperbolic-beta(+-) do not exist:
+    # note-only rows, as classify writes, and the exit code follows the
+    # rows that carry a pass flag
+    rc = main(["check-identities", "--kappa", "8", "--seed", "1",
+               "--n-pairs", "10"])
+    out = capsys.readouterr().out
+    header, *rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    assert rc == 0
+    assert header[-1] == "note" and "nan" not in out
+    notes = [r for r in rows if r[-1]]
+    assert len(notes) == 3 and all(c == "" for r in notes for c in r[1:-1])
 
 
 def test_check_identities_catches_a_wrong_b_field(monkeypatch, capsys):

@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 from slitflow.conformal import green_half_plane
 from slitflow.errors import CoincidentPointsError
 from slitflow.fields import (
-    SCALAR,
-    ConformalWeight,
     FieldCoeffs,
     eval_field,
     eval_field_prime,
-    green_as_sampler,
     lie_derivative,
     lie_green_closed,
 )
@@ -67,24 +64,10 @@ def test_lie_green_coincident_rejected():
 def test_full_b_field_matches_finite_difference_lie():
     b = FieldCoeffs.b_field(0.12, -0.4, 0.21)
     z1, z2 = 0.9 + 0.8j, -0.4 + 1.6j
-    fd = lie_derivative(b, green_as_sampler, SCALAR, (z1, z2))
+    fd = lie_derivative(b, green_half_plane, (z1, z2))
     assert complex(fd).real == pytest.approx(
         lie_green_closed(b, z1, z2), abs=1e-6
     )
-
-
-def test_differential_weight_lie_derivative():
-    # f(z) = z^2 transforms with weight lambda: L_v f = v f' + lam v' f
-    lam = 1.5
-    v = FieldCoeffs.sigma_field(0.3, -0.2)
-
-    def f(nodes):
-        return nodes[0] ** 2
-
-    z = 0.7 + 1.1j
-    got = lie_derivative(v, f, ConformalWeight(lam, 0.0), (z,))
-    expect = eval_field(v, z) * 2 * z + lam * eval_field_prime(v, z) * z ** 2
-    assert got == pytest.approx(expect, abs=1e-6)
 
 
 real_small = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)

@@ -35,7 +35,7 @@ def _brownian_driving(kappa, alpha, T, dt, seed):
 
 def test_zero_driving_chordal_matches_closed_form():
     # forward map: g_t(z) = sqrt(z^2 + 4t), so g_0.2(i) = i sqrt(0.2)
-    drv = zero_driving(4.0, 0.0, 0.2, 1e-3)
+    drv = zero_driving(0.0, 0.2, 1e-3)
     path = chordal_loewner(drv, 1j)
     w_T = path.w[path.last_alive_index()]
     assert abs(w_T - 1j * math.sqrt(1.0 - 4.0 * 0.2)) < 1e-8
@@ -43,7 +43,7 @@ def test_zero_driving_chordal_matches_closed_form():
 
 def test_zero_driving_inverse_map_closed_form():
     # inverse map: g_t^{-1}(iy) = i sqrt(y^2 + 4t)
-    drv = zero_driving(4.0, 0.0, 1.0, 1e-3)
+    drv = zero_driving(0.0, 1.0, 1e-3)
     z = inverse_map(drv, 1j, 1.0)
     assert abs(z - 1j * math.sqrt(1.0 + 4.0)) < 1e-8
 
@@ -75,7 +75,7 @@ def test_inverse_map_off_grid_matches_finer_grid(seed):
 
 
 def test_inverse_map_rejects_bad_start_and_time():
-    drv = zero_driving(4.0, 0.0, 0.1, 1e-3)
+    drv = zero_driving(0.0, 0.1, 1e-3)
     with pytest.raises(DomainError):
         inverse_map(drv, 1.0 - 0.5j, 0.05)
     for t in (-0.01, 0.2):
@@ -84,7 +84,7 @@ def test_inverse_map_rejects_bad_start_and_time():
 
 
 def test_capacity_normalization_far_point():
-    drv = zero_driving(4.0, 0.0, 1.0, 1e-3)
+    drv = zero_driving(0.0, 1.0, 1e-3)
     path = chordal_loewner(drv, 100j)
     w_T = path.w[path.last_alive_index()]
     assert abs((w_T - 100j) * 100j - 2.0) < 1e-3
@@ -102,10 +102,10 @@ def test_driving_path_shape_and_interp():
     assert drv.horizon == pytest.approx(0.2)
     assert drv.values[0] == 0.0
     with pytest.raises(ParameterRangeError):
-        zero_driving(4.0, 0.0, 1.0, 2.0)
+        zero_driving(0.0, 1.0, 2.0)
     # a step that does not divide the horizon would silently stop short of T
     with pytest.raises(ParameterRangeError):
-        zero_driving(4.0, 0.0, 0.1, 0.07)
+        zero_driving(0.0, 0.1, 0.07)
 
 
 def test_ensemble_rejects_lower_half_plane():
@@ -217,6 +217,6 @@ def test_ensemble_matches_scalar_integrator_statistics():
     T, dt = 0.05, 1e-3
     res = simulate_ensemble(model, np.array([1j]), 4000, T, dt, 21)
     drv_mean = np.mean(res.w[:, 0])
-    det = chordal_loewner(zero_driving(4.0, 0.0, T, dt), 1j)
+    det = chordal_loewner(zero_driving(0.0, T, dt), 1j)
     det_T = det.w[det.last_alive_index()]
     assert abs(drv_mean - det_T) < 0.05

@@ -1,8 +1,8 @@
 """Every name a slitflow module imports is used in that module, every
-module-level definition is reachable from the CLI, the acceptance criteria,
-the scripts or the benchmark, scipy is imported only inside functions of
-``stats.py`` (the KS test), and subcommands that run no KS test start on
-numpy alone."""
+module-level definition and constant is reachable from the CLI, the
+acceptance criteria, the scripts or the benchmark, scipy is imported only
+inside functions of ``stats.py`` (the KS test), and subcommands that run no
+KS test start on numpy alone."""
 
 import ast
 import os
@@ -54,18 +54,35 @@ def _names(node: ast.AST) -> set:
     }
 
 
+def _stored(node: ast.AST) -> set:
+    """The plain names a module-level assignment binds."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return set()
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
 def test_no_orphan_definitions():
-    # every module-level def or class is reachable from a use: module-level
-    # code such as the CLI entry point, the acceptance criteria, the scripts,
-    # the benchmark, or a tests/ helper such as the reference evaluators the
-    # unit tests compare against.  Unit tests do not count, nor do imports
-    # and the package __init__'s re-exports
+    # every module-level def, class or assigned name (a constant) is
+    # reachable from a use: module-level code such as the CLI entry point,
+    # the acceptance criteria, the scripts, the benchmark, or a tests/ helper
+    # such as the reference evaluators the unit tests compare against.  Unit
+    # tests do not count, nor do imports and the package __init__'s
+    # re-exports; __version__ and __all__ are the package's metadata.
+    # Definitions are keyed by place, as two modules may bind one name
+    # (flow's aliases of the fields evaluators)
     defs = {}
     reached = set()
     for path in _modules():
         for node in ast.parse(path.read_text(), filename=str(path)).body:
+            where = f"{path.name}:{node.lineno}"
+            stored = _stored(node) - {"__version__", "__all__"}
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[node.name] = (f"{path.name}:{node.lineno}", _names(node))
+                defs[where, node.name] = _names(node)
+            elif stored:
+                for name in stored:
+                    defs[where, name] = _names(node) - stored
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 reached |= _names(node)
     uses = [p for p in (REPO / "tests").glob("*.py")
@@ -76,11 +93,11 @@ def test_no_orphan_definitions():
     grown = True
     while grown:
         grown = False
-        for name, (_, body) in defs.items():
+        for (_, name), body in defs.items():
             if name in reached and not body <= reached:
                 reached |= body
                 grown = True
-    found = sorted(f"{where} {name}" for name, (where, _) in defs.items()
+    found = sorted(f"{where} {name}" for where, name in defs
                    if name not in reached)
     assert not found, "definitions nothing reaches: " + ", ".join(found)
 

@@ -43,7 +43,7 @@ def test_u_process_zero_noise_is_constant_at_kappa4():
     # axis arg w stays pi/2 exactly
     fam = {f.name: f for f in enumerate_families(4.0)}["chordal-drift"]
     u = build_u(fam.instantiate(alpha=0.0))
-    path = chordal_loewner(zero_driving(4.0, 0.0, 0.2, 1e-3), 1j)
+    path = chordal_loewner(zero_driving(0.0, 0.2, 1e-3), 1j)
     n = path.last_alive_index()
     # u_t as martingale_suite evaluates it: u(w_t) + mu Im log w'_t
     vals = u.value(path.w[: n + 1]) + u.mu * np.imag(path.log_wp[: n + 1])
