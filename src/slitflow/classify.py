@@ -20,11 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BranchObstructionError,
-    DomainError,
-    ParameterRangeError,
-)
+from .errors import InputError, NumericalError
 from .fields import FieldCoeffs, eval_field, eval_field_prime
 
 
@@ -39,7 +35,7 @@ class CftParams:
 
     def __post_init__(self):
         if self.kappa <= 0:
-            raise ParameterRangeError("kappa must be positive")
+            raise InputError("kappa must be positive")
         a = math.sqrt(2.0 / self.kappa)
         bb = math.sqrt(self.kappa / 8.0) - a
         object.__setattr__(self, "a", a)
@@ -162,9 +158,9 @@ class FamilySpec:
         if self.parameter == "beta":
             family = self.name.split("(")[0]
             if B is None:
-                raise ParameterRangeError(f"{family} is parametrized by B")
+                raise InputError(f"{family} is parametrized by B")
             if k == 8:
-                raise ParameterRangeError(f"{family} degenerates at kappa = 8")
+                raise InputError(f"{family} degenerates at kappa = 8")
             B = Fraction(B)
         if self.name == "chordal-drift":
             return FieldCoeffs("b", -alpha, 0, 0), alpha, alpha * alpha
@@ -188,7 +184,7 @@ class FamilySpec:
                 alpha,
                 1 + alpha * alpha,
             )
-        raise ParameterRangeError(f"unknown family {self.name!r}")
+        raise InputError(f"unknown family {self.name!r}")
 
     def instantiate(self, alpha=0.0, B=None) -> FlowModel:
         k = float(self.kappa)
@@ -209,7 +205,7 @@ class FamilySpec:
 def enumerate_families(kappa) -> list:
     """The coupled-flow families at this kappa, with exact coefficient formulas."""
     if not (kappa > 0 and math.isfinite(kappa)):
-        raise ParameterRangeError("kappa must be positive and finite")
+        raise InputError("kappa must be positive and finite")
     k = Fraction(kappa)
     sig_par = FieldCoeffs("sigma", 0, 0)
     sig_hyp = FieldCoeffs("sigma", 0, Fraction(-1, 4))
@@ -296,7 +292,7 @@ def build_u(model: FlowModel) -> HarmonicU:
     sigma = model.sigma
     roots = _sigma_roots(sigma)
     if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-12:
-        raise ParameterRangeError(
+        raise InputError(
             "sigma has a double zero; u is not implemented for this degenerate class"
         )
     # residue at 0 of -a(2 + alpha z)/(z sigma): -2a / sigma(0) = 2a
@@ -306,7 +302,7 @@ def build_u(model: FlowModel) -> HarmonicU:
         c = -a * (2.0 + alpha * rho) / (rho * sp) + 2.0 * bb
         if rho.imag > 1e-12:
             if abs(c.real) > 1e-9:
-                raise BranchObstructionError(
+                raise NumericalError(
                     "no continuous branch of u on the upper half-plane: root "
                     f"{rho:.6g} carries log coefficient {c:.6g}"
                 )
@@ -352,7 +348,7 @@ def check_annihilation(model: FlowModel, u: HarmonicU, samples: Sequence[complex
     """Per-sample residual of (-L_b + (kappa/2) L_sigma^2) u."""
     z = np.asarray(samples, dtype=complex)
     if np.any(z.imag <= 0):
-        raise DomainError("samples must lie in the upper half-plane")
+        raise InputError("samples must lie in the upper half-plane")
     res = -lie_b_u(model, u, z) + 0.5 * model.kappa * lie_sigma2_u(model, u, z)
     res = np.abs(res)
     return {"max": float(np.max(res)), "residuals": res}

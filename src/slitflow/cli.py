@@ -12,6 +12,7 @@ true, 1 when a check fails, 2 on usage and configuration errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -28,13 +29,7 @@ from .classify import (
     solve_system,
     system_residuals,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    ParameterRangeError,
-    SlitflowError,
-    SupportViolationError,
-)
+from .errors import InputError, SlitflowError
 from .fields import FieldCoeffs, lie_green_closed
 from .flow import simulate_ensemble
 from .gff import TestFn
@@ -62,9 +57,12 @@ def _fmt(x):
 
 def _parse_complex(s: str) -> complex:
     try:
-        return complex(s.replace("i", "j").replace(" ", ""))
+        z = complex(s.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse complex number {s!r}") from exc
+        raise InputError(f"cannot parse complex number {s!r}") from exc
+    if not cmath.isfinite(z):
+        raise InputError(f"complex number {s!r} must be finite")
+    return z
 
 
 def echo(text: str) -> None:
@@ -117,7 +115,7 @@ def _emit(rows, config, out_path, fmt):
             with open(out_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write --out: {exc}") from exc
+            raise InputError(f"cannot write --out: {exc}") from exc
     else:
         echo(text)
 
@@ -127,16 +125,16 @@ def _load_config(path: str) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors
-        raise ConfigError(f"bad config file: {exc}") from exc
+        raise InputError(f"bad config file: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise InputError("config file must hold a JSON object")
     return cfg
 
 
 def _convert(options: dict, key: str, value):
     """One value of the merged config, converted and checked as its flag."""
     if key not in options:
-        raise ConfigError(f"unknown option {key!r}")
+        raise InputError(f"unknown option {key!r}")
     kind, default = options[key]
     if value is None and default is None:
         return None
@@ -145,26 +143,26 @@ def _convert(options: dict, key: str, value):
         value = [value] if isinstance(value, str) else value
         if not (isinstance(value, list)
                 and all(isinstance(v, str) for v in value)):
-            raise ConfigError(f"{key} must be a string or a list of strings")
+            raise InputError(f"{key} must be a string or a list of strings")
         return value
     if kind is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string")
+            raise InputError(f"{key} must be a string")
         return value
     if isinstance(kind, tuple):
         if value not in kind:
-            raise ConfigError(f"{key} must be one of {', '.join(kind)}")
+            raise InputError(f"{key} must be one of {', '.join(kind)}")
         return value
     try:
         value = kind(str(value))
     except ValueError as exc:
-        raise ConfigError(f"invalid {kind.__name__} {key}: {value!r}") from exc
+        raise InputError(f"invalid {kind.__name__} {key}: {value!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite")
+        raise InputError(f"{key} must be finite")
     if key in POSITIVE and value <= 0:
-        raise ConfigError(f"{key} must be positive")
+        raise InputError(f"{key} must be positive")
     if key == "seed" and value < 0:
-        raise ConfigError("seed must not be negative")
+        raise InputError("seed must not be negative")
     return value
 
 
@@ -179,7 +177,7 @@ def _merge_config(options: dict, path, flags: dict) -> dict:
 
 def _require_seed(cfg):
     if cfg["seed"] is None:
-        raise ConfigError("stochastic commands need --seed")
+        raise InputError("stochastic commands need --seed")
     return cfg["seed"]
 
 
@@ -421,8 +419,7 @@ def main(argv=None) -> int:
         cfg["command"] = command
         rows, ok = func(cfg)
         _emit(rows, cfg, cfg["out"], cfg["format"])
-    except (ConfigError, DomainError, ParameterRangeError,
-            SupportViolationError) as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SlitflowError as exc:

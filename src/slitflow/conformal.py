@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CoincidentPointsError,
-    DomainError,
-    OutsideTriangleError,
-    ParameterRangeError,
-)
+from .errors import InputError, NumericalError
 
 COINCIDENT_TOL = 1e-13
 TRIANGLE_TOL = 1e-7  # relative slack before a point counts as outside
@@ -26,10 +21,10 @@ _SC_QUAD_ORDER = 48  # nodes of each vertex chart's Golub-Welsch Gauss-Jacobi ru
 
 
 def require_upper_half_plane(z) -> None:
-    """Raise DomainError unless Im z > 0 (elementwise for arrays)."""
-    im = np.imag(np.asarray(z))
-    if not np.all(np.isfinite(im)) or np.any(im <= 0.0):
-        raise DomainError(f"point not in the open upper half-plane: {z!r}")
+    """Raise InputError unless z is finite with Im z > 0 (elementwise for arrays)."""
+    arr = np.asarray(z)
+    if not np.all(np.isfinite(arr)) or np.any(arr.imag <= 0.0):
+        raise InputError(f"point not in the open upper half-plane: {z!r}")
 
 
 def green_half_plane(z1: complex, z2: complex) -> float:
@@ -39,7 +34,7 @@ def green_half_plane(z1: complex, z2: complex) -> float:
     d = abs(z1 - z2)
     scale = max(abs(z1), abs(z2), 1.0)
     if d < COINCIDENT_TOL * scale:
-        raise CoincidentPointsError(f"coincident points {z1}, {z2}")
+        raise InputError(f"coincident points {z1}, {z2}")
     return math.log(abs(z1 - z2.conjugate())) - math.log(d)
 
 
@@ -64,9 +59,9 @@ class TriangleSpec:
     def __post_init__(self):
         angles = (self.angle_a, self.angle_b, self.angle_c)
         if any(not (0.0 < t < math.pi) for t in angles):
-            raise ParameterRangeError(f"triangle angles out of range: {angles}")
+            raise InputError(f"triangle angles out of range: {angles}")
         if abs(sum(angles) - math.pi) > 1e-12:
-            raise ParameterRangeError("triangle angles must sum to pi")
+            raise InputError("triangle angles must sum to pi")
 
     @property
     def vertices(self):
@@ -77,7 +72,7 @@ def barycentric(point, tri: TriangleSpec):
     """Barycentric coordinates (a, b, c) of points in ``tri``, renormalized to sum 1.
 
     ``point`` is a complex scalar or array; the coordinates run along a new
-    last axis.  Raises OutsideTriangleError if any point lies outside the
+    last axis.  Raises NumericalError if any point lies outside the
     triangle by more than TRIANGLE_TOL (relative to the triangle's size).
     """
     A, B, C = tri.vertices
@@ -91,7 +86,7 @@ def barycentric(point, tri: TriangleSpec):
     abc = np.stack([a, b, c], axis=-1)
     outside = abc.min(axis=-1) < -TRIANGLE_TOL * max(1.0, abs(u), abs(v))
     if np.any(outside):
-        raise OutsideTriangleError(
+        raise NumericalError(
             f"point {p[outside][0] + A} outside triangle (coords {abc[outside][0]})"
         )
     return abc / (a + b + c)[..., None]
@@ -150,9 +145,9 @@ class ScMap:
 
     def __post_init__(self):
         if self.kappa <= 4.0:
-            raise ParameterRangeError("kappa must exceed 4")
+            raise InputError("kappa must exceed 4")
         if not (-1.0 < self.alpha < 1.0):
-            raise ParameterRangeError("alpha must lie in (-1, 1)")
+            raise InputError("alpha must lie in (-1, 1)")
         k, al = self.kappa, self.alpha
         self.exp_one = -4.0 / k
         self.exp_zero = -1.0 + 2.0 * (1.0 + al) / k
@@ -231,7 +226,7 @@ class ScMap:
         """
         z = np.asarray(z, dtype=complex)
         if np.any(z.imag < 0):
-            raise DomainError("h is defined on the closed upper half-plane")
+            raise InputError("h is defined on the closed upper half-plane")
         az = np.abs(z)
         far = az >= 4.0
         near_one = ~far & (np.abs(z - 1.0) <= az)
@@ -253,7 +248,7 @@ class ScMap:
         z = np.asarray(z, dtype=complex)
         x = z.real
         if not np.all((0.0 <= z.imag) & (z.imag <= math.pi)):
-            raise DomainError(f"point not in the closed strip: {z!r}")
+            raise InputError(f"point not in the closed strip: {z!r}")
         right, left = x > 50.0, x < -50.0
         inside = ~(right | left)
         out = np.empty_like(z)

@@ -1,53 +1,15 @@
-"""Exception hierarchy shared across the package."""
+"""The package's two kinds of failure; the CLI's exit code follows the kind."""
 
 
 class SlitflowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(SlitflowError):
-    """Input point lies outside the required domain (e.g. not in the upper half-plane)."""
+class InputError(SlitflowError):
+    """An argument the computation does not accept: a parameter out of range,
+    a point outside its domain or near a branch point, a test-function
+    support outside the rectangle, or a bad config.  The CLI exits 2."""
 
 
-class CoincidentPointsError(SlitflowError):
-    """Two points that must be distinct are numerically coincident."""
-
-
-class ParameterRangeError(SlitflowError):
-    """A model parameter is outside its admissible range."""
-
-
-class OutsideTriangleError(SlitflowError):
-    """Point lies outside the closed triangle beyond tolerance."""
-
-
-class FiniteDifferenceError(SlitflowError):
-    """Finite-difference estimates disagree across step sizes beyond tolerance."""
-
-
-class PoleError(SlitflowError):
-    """Field evaluated at its pole."""
-
-
-class BranchObstructionError(SlitflowError):
-    """No continuous branch of the harmonic observable exists on the upper half-plane."""
-
-
-class BranchPointError(SlitflowError):
-    """Evaluation requested at or too close to a branch point."""
-
-
-class StepExplosionError(SlitflowError):
-    """Trajectory left the guard radius during integration."""
-
-
-class ReversalInstabilityError(SlitflowError):
-    """Backward Loewner integration left the upper half-plane."""
-
-
-class SupportViolationError(SlitflowError):
-    """Test function support is not contained in the required domain."""
-
-
-class ConfigError(SlitflowError):
-    """Invalid run configuration."""
+class NumericalError(SlitflowError):
+    """A computation that failed on admissible input.  The CLI exits 1."""

@@ -17,12 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CoincidentPointsError,
-    FiniteDifferenceError,
-    ParameterRangeError,
-    PoleError,
-)
+from .errors import InputError, NumericalError
 
 H_FD_SCALE = 1e-5
 TOL_FD = 1e-6
@@ -44,9 +39,9 @@ class FieldCoeffs:
 
     def __post_init__(self):
         if self.kind not in ("b", "sigma"):
-            raise ParameterRangeError(f"unknown field kind {self.kind!r}")
+            raise InputError(f"unknown field kind {self.kind!r}")
         if self.kind == "sigma" and self.c3 != 0:
-            raise ParameterRangeError("sigma-fields have only two coefficients")
+            raise InputError("sigma-fields have only two coefficients")
 
     @staticmethod
     def b_field(bm1, b0, b1) -> "FieldCoeffs":
@@ -75,7 +70,7 @@ class FieldCoeffs:
 
 def _check_nonzero(z) -> None:
     if np.any(np.asarray(z) == 0):
-        raise PoleError("b-field has a pole at z = 0")
+        raise InputError("b-field has a pole at z = 0")
 
 
 def eval_field(c: FieldCoeffs, z):
@@ -129,7 +124,7 @@ def lie_derivative(v: FieldCoeffs, f: Callable, nodes: Sequence[complex]) -> com
         d2, db2 = _wirtinger(f, nodes, k, h / 2.0)
         scale = max(1.0, abs(d2), abs(db2))
         if abs(d1 - d2) > TOL_FD * scale or abs(db1 - db2) > TOL_FD * scale:
-            raise FiniteDifferenceError(
+            raise NumericalError(
                 f"finite-difference estimates disagree at node {z}"
             )
         vk = eval_field(v, z)
@@ -149,7 +144,7 @@ def lie_green_closed(v: FieldCoeffs, z1, z2):
     z2 = np.asarray(z2, dtype=complex)
     scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1.0)
     if np.any(np.abs(z1 - z2) < 1e-13 * scale):
-        raise CoincidentPointsError(f"coincident points {z1}, {z2}")
+        raise InputError(f"coincident points {z1}, {z2}")
     v1, v2 = eval_field(v, z1), eval_field(v, z2)
     return np.real(v1 / (z1 - np.conj(z2)) + v2 / (z2 - np.conj(z1))
                    - (v1 - v2) / (z1 - z2))

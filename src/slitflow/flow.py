@@ -18,11 +18,7 @@ import numpy as np
 
 from . import fields
 from .conformal import require_upper_half_plane
-from .errors import (
-    ParameterRangeError,
-    ReversalInstabilityError,
-    StepExplosionError,
-)
+from .errors import InputError, NumericalError
 
 # the benchmark tracer (perfbench/spans.py) wraps these two names in this
 # module, so they stay reachable here; nothing in this module calls them
@@ -37,10 +33,10 @@ C_SING = 0.1  # dt_eff = min(dt, C_SING * |distance to singularity|^2)
 def _n_steps(T: float, dt: float) -> int:
     """Number of steps of size dt from 0 to the horizon T; dt must divide T."""
     if not 0.0 < dt <= T < math.inf:
-        raise ParameterRangeError("need 0 < dt <= T < inf")
+        raise InputError("need 0 < dt <= T < inf")
     n = round(T / dt)
     if abs(n * dt - T) > 1e-9 * T:
-        raise ParameterRangeError(f"dt = {dt:g} does not divide T = {T:g}")
+        raise InputError(f"dt = {dt:g} does not divide T = {T:g}")
     return n
 
 
@@ -135,7 +131,7 @@ def chordal_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
         if not ok or abs(w) < EPS_SWALLOW:
             break
         if not g.imag >= 0.0:
-            raise StepExplosionError("Loewner solution left its domain")
+            raise NumericalError("Loewner solution left its domain")
         w_arr[i + 1] = w
         lp_arr[i + 1] = lp
     return FlowPath(w_arr, lp_arr)
@@ -149,7 +145,7 @@ def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:
     """
     require_upper_half_plane(z0)
     if t < 0 or t > driving.horizon + 1e-12:
-        raise ParameterRangeError(f"time {t} outside the driving horizon")
+        raise InputError(f"time {t} outside the driving horizon")
     times, xi = driving.times, driving.values
     # grid segment i spans [times[i], times[i + 1]]; t lies in segment k
     k = min(int(np.searchsorted(times, t)), len(times) - 1) - 1
@@ -158,7 +154,7 @@ def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:
         z, _, ok = _loewner_segment(z, 0j, s, times[i], times[i], driving.dt,
                                     xi[i], xi[i + 1])
         if not ok or z.imag <= 0:
-            raise ReversalInstabilityError(
+            raise NumericalError(
                 f"backward integration left the upper half-plane at t={t}"
             )
         s = times[i]
@@ -244,7 +240,7 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     w = x + iy and log w' = lr + i li.  Its arrays are read-only views of the
     live state buffers: the same objects on every call, overwritten by the
     next step, so a caller copies what it keeps.  Seed points must lie in the
-    open upper half-plane (DomainError otherwise).
+    open upper half-plane (InputError otherwise).
     """
     n_steps = _n_steps(T, dt)
     if not isinstance(rng, np.random.Generator):
@@ -302,7 +298,7 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
         a += b
         alive &= ~((yn <= 0.0) | (a < freeze_r2))
         if np.max(a, where=alive, initial=0.0) > R_MAX * R_MAX:
-            raise StepExplosionError("ensemble trajectory left the safe radius")
+            raise NumericalError("ensemble trajectory left the safe radius")
         np.copyto(x, xn, where=alive)
         np.copyto(y, yn, where=alive)
         np.copyto(lr, lrn, where=alive)

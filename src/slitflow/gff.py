@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import green_half_plane_grid
-from .errors import ParameterRangeError, SupportViolationError
+from .errors import InputError
 
 DEFAULT_RECT = (-8.0, 8.0, 0.0, 8.0)
 DEFAULT_MESH = 256
@@ -49,9 +49,9 @@ class RectDomain:
 
     def __post_init__(self):
         if not (self.x1 > self.x0 and self.y1 > self.y0 and self.y0 >= 0.0):
-            raise ParameterRangeError("rectangle must be inside the upper half-plane")
+            raise InputError("rectangle must be inside the upper half-plane")
         if self.modes > self.nx * self.ny:
-            raise ParameterRangeError("mode cutoff exceeds mesh resolution")
+            raise InputError("mode cutoff exceeds mesh resolution")
 
     @property
     def width(self) -> float:
@@ -95,7 +95,7 @@ class TestFn:
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:
-            raise ParameterRangeError(
+            raise InputError(
                 f"bump radius must be positive and finite: {self.radius}")
 
     def value(self, z):
@@ -130,7 +130,7 @@ def patch_from_testfn(dom: RectDomain, p: TestFn) -> SupportPatch:
         dom.x0 < c.real - r and c.real + r < dom.x1
         and dom.y0 < c.imag - r and c.imag + r < dom.y1
     ):
-        raise SupportViolationError("test function support leaves the rectangle")
+        raise InputError("test function support leaves the rectangle")
     xs, ys = dom.cell_centers()
     i0 = np.searchsorted(xs, c.real - r) - 1
     i1 = np.searchsorted(xs, c.real + r) + 1
@@ -144,6 +144,8 @@ def patch_from_testfn(dom: RectDomain, p: TestFn) -> SupportPatch:
     zz = xs[ii] + 1j * ys[jj]
     vals = p.value(zz)
     keep = vals > 0.0
+    if not keep.any():
+        raise InputError("test function support holds no mesh cell")
     return SupportPatch(
         dom, ii[keep], jj[keep], zz[keep], vals[keep],
         vals[keep] * dom.cell_area,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import CftParams, FlowModel, build_u, enumerate_families
 from .conformal import green_half_plane_grid, sc_map_build
-from .errors import BranchPointError, ParameterRangeError
+from .errors import InputError
 from .flow import EPS_SWALLOW, simulate_ensemble
 from .gff import (
     RectDomain,
@@ -69,7 +69,7 @@ def _family_model(geometry: str, kappa: float, alpha: float) -> FlowModel:
     for spec in enumerate_families(kappa):
         if spec.name == name:
             return spec.instantiate(alpha=alpha)
-    raise ParameterRangeError(f"family {name} unavailable at kappa={kappa}")
+    raise InputError(f"family {name} unavailable at kappa={kappa}")
 
 
 MARTINGALE_POINTS = (
@@ -241,10 +241,10 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     whose largest barycentric is at most VERTEX_TOL counts as ambiguous.
     """
     if kappa <= 4:
-        raise ParameterRangeError("swallowing needs kappa > 4")
+        raise InputError("swallowing needs kappa > 4")
     z = complex(z)
-    if not 0.0 < z.imag < math.pi:
-        raise ParameterRangeError("seed point must be inside the strip")
+    if not (math.isfinite(z.real) and 0.0 < z.imag < math.pi):
+        raise InputError("seed point must be inside the strip")
     sm = sc_map_build(kappa, alpha)
     oracle = tuple(float(p) for p in sm.exit_probabilities(z))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -312,7 +312,7 @@ def bpz_sc_residual(kappa: float, alpha: float, z: complex) -> dict:
     z = complex(z)
     h = 1e-3 * max(1.0, abs(z))
     if min(abs(z), abs(z - 1.0)) < 10 * h or abs(z + 1.0) < 10 * h:
-        raise BranchPointError("evaluation point too close to a branch point")
+        raise InputError("evaluation point too close to a branch point")
     sm = sc_map_build(kappa, alpha)
 
     def fd_deriv(f, x):
@@ -401,7 +401,7 @@ def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
     pool size.  The sample variance needs at least two samples.
     """
     if n_samples < 2:
-        raise ParameterRangeError("run_coupling needs at least 2 samples")
+        raise InputError("run_coupling needs at least 2 samples")
     dom = RectDomain()
     bump = bump or TestFn(1.5j, 0.3)
     basis = eigen_basis(dom)

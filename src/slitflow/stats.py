@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterRangeError
+from .errors import InputError
 
 Z_THRESHOLD = 3.0  # |z-score| below which a Monte Carlo estimate passes
 
@@ -64,7 +64,7 @@ def drift_test(deltas, name: str = "drift", seed=None, dt=None) -> McReport:
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size < 100:
-        raise ParameterRangeError("drift_test needs at least 100 paths")
+        raise InputError("drift_test needs at least 100 paths")
     variance = float(np.var(deltas, ddof=1))
     if variance == 0.0:
         # degenerate-variance warning is encoded in the report name

@@ -16,7 +16,7 @@ from slitflow.classify import (
     solve_system,
     system_residuals,
 )
-from slitflow.errors import ParameterRangeError
+from slitflow.errors import InputError
 
 KAPPAS = [Fraction(2), Fraction(3), Fraction(4), Fraction(5), Fraction(6)]
 
@@ -89,15 +89,17 @@ def test_solve_system_roundtrip_exact(kappa):
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan, math.inf])
 def test_enumerate_families_rejects_bad_kappa(kappa):
     # Fraction(inf) would raise OverflowError: the range check comes first
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError, match="kappa must be positive and finite"):
         enumerate_families(kappa)
 
 
 def test_degenerate_kappa_eight_raises():
     fams = _families(Fraction(8))
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError,
+                       match="parabolic-beta degenerates at kappa = 8"):
         fams["parabolic-beta"].coefficients(B=Fraction(1, 2))
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError,
+                       match="hyperbolic-beta degenerates at kappa = 8"):
         fams["hyperbolic-beta(+)"].coefficients(B=Fraction(1, 2))
 
 

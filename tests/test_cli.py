@@ -119,9 +119,24 @@ def test_bad_flag_value_exits_two(capsys):
         ["gff-couple", "--seed", "1", "--n-samples", "1"],
         ["simulate", "--seed", "1", "--n-paths", "2",
          "--out", "/nonexistent/x.csv"],
+        ["sc-residual", "--z", "1"],
+        ["sc-residual", "--z", "0.0001i"],
+        ["gff-couple", "--seed", "1", "--n-samples", "10", "--T", "0.01",
+         "--dt", "1e-3", "--radius", "0.01"],
+        ["simulate", "--seed", "1", "--z", "nan+1i"],
     ):
         assert main(argv) == 2, argv
-        assert "config error" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "config error" in err, argv
+
+
+def test_non_finite_point_exits_two_without_hanging():
+    # with a NaN real part no stop condition of cardy_zhan ever holds, so
+    # the point must be refused before the run starts
+    proc = _run(["cardy-zhan", "--seed", "1", "--z", "nan+1i", "--t-max", "1"],
+                timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "config error" in proc.stderr
 
 
 def test_bad_complex_exits_two():

@@ -18,12 +18,7 @@ from slitflow.conformal import (
     green_half_plane_grid,
     sc_map_build,
 )
-from slitflow.errors import (
-    CoincidentPointsError,
-    DomainError,
-    OutsideTriangleError,
-    ParameterRangeError,
-)
+from slitflow.errors import InputError, NumericalError
 
 
 def test_green_value():
@@ -32,9 +27,9 @@ def test_green_value():
 
 
 def test_green_domain_and_coincidence_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="not in the open upper half-plane"):
         green_half_plane(1j, 1.0 - 0.5j)
-    with pytest.raises(CoincidentPointsError):
+    with pytest.raises(InputError, match="coincident points"):
         green_half_plane(1j, 1j + 1e-16)
 
 
@@ -53,7 +48,7 @@ def test_barycentric_identity_at_vertices_and_center():
     assert barycentric(tri.vertex_a, tri) == pytest.approx((1.0, 0.0, 0.0))
     center = (tri.vertex_a + tri.vertex_b + tri.vertex_c) / 3.0
     assert barycentric(center, tri) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
-    with pytest.raises(OutsideTriangleError):
+    with pytest.raises(NumericalError, match="outside triangle"):
         barycentric(-1.0 - 1.0j, tri)
 
 
@@ -129,12 +124,12 @@ def test_exit_probabilities_sum_to_one_and_degenerate_limits():
 
 
 def test_sc_map_rejects_bad_parameters():
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError, match="kappa must exceed 4"):
         ScMap(4.0, 0.0)
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError, match=r"alpha must lie in \(-1, 1\)"):
         ScMap(6.0, 1.0)
     sm = sc_map_build(6.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="not in the closed strip"):
         sm(1.0 + 4.0j)
 
 
@@ -172,12 +167,12 @@ def test_batched_exit_probabilities_match_pointwise(kappa, alpha):
 
 def test_batched_oracle_raises_for_the_batch():
     sm = sc_map_build(6.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="not in the closed strip"):
         sm.exit_probabilities(np.array([1j, 0.5 + 4.0j]))
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="h is defined on the closed upper"):
         sm.h(np.array([1j, 1.0 - 0.5j]))
     tri = sm.triangle
-    with pytest.raises(OutsideTriangleError):
+    with pytest.raises(NumericalError, match="outside triangle"):
         barycentric(np.array([0.5 * tri.vertex_c, -1.0 - 1.0j]), tri)
 
 

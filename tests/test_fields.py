@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slitflow.conformal import green_half_plane
-from slitflow.errors import CoincidentPointsError
+from slitflow.errors import InputError
 from slitflow.fields import (
     FieldCoeffs,
     eval_field,
@@ -57,7 +57,7 @@ def test_lie_green_b_closed_form_on_random_pairs():
 
 
 def test_lie_green_coincident_rejected():
-    with pytest.raises(CoincidentPointsError):
+    with pytest.raises(InputError, match="coincident points"):
         lie_green_closed(FieldCoeffs.b_field(0, 0, 0), 1j, 1j)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slitflow.classify import enumerate_families
-from slitflow.errors import DomainError, ParameterRangeError, StepExplosionError
+from slitflow.errors import InputError, NumericalError
 from slitflow.fields import eval_field, eval_field_prime
 from slitflow.flow import (
     DrivingPath,
@@ -76,10 +76,10 @@ def test_inverse_map_off_grid_matches_finer_grid(seed):
 
 def test_inverse_map_rejects_bad_start_and_time():
     drv = zero_driving(0.0, 0.1, 1e-3)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="not in the open upper half-plane"):
         inverse_map(drv, 1.0 - 0.5j, 0.05)
     for t in (-0.01, 0.2):
-        with pytest.raises(ParameterRangeError):
+        with pytest.raises(InputError, match="outside the driving horizon"):
             inverse_map(drv, 1j, t)
 
 
@@ -101,17 +101,19 @@ def test_driving_path_shape_and_interp():
     drv = _brownian_driving(4.0, 0.5, 0.2, 1e-2, seed=3)
     assert drv.horizon == pytest.approx(0.2)
     assert drv.values[0] == 0.0
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError, match="need 0 < dt <= T < inf"):
         zero_driving(0.0, 1.0, 2.0)
     # a step that does not divide the horizon would silently stop short of T
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError, match="does not divide T"):
         zero_driving(0.0, 0.1, 0.07)
 
 
 def test_ensemble_rejects_lower_half_plane():
     model = _chordal_model()
-    for pts in ([1.0 - 1.0j], [1j, -1j], [2.0 + 0j]):
-        with pytest.raises(DomainError):
+    # a non-finite real part is outside the domain too
+    for pts in ([1.0 - 1.0j], [1j, -1j], [2.0 + 0j], [complex(math.nan, 1.0)],
+                [complex(math.inf, 1.0)]):
+        with pytest.raises(InputError, match="not in the open upper half-plane"):
             simulate_ensemble(model, pts, 4, 0.1, 1e-3, 0)
 
 
@@ -165,7 +167,7 @@ def test_ensemble_freezes_near_singularity():
 
 
 def test_ensemble_raises_beyond_safe_radius():
-    with pytest.raises(StepExplosionError):
+    with pytest.raises(NumericalError, match="left the safe radius"):
         simulate_ensemble(_chordal_model(), [2e6j], 4, 0.01, 1e-3, 0)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from slitflow.errors import ParameterRangeError, SupportViolationError
+from slitflow.errors import InputError
 from slitflow.gff import (
     EigenBasis,
     RectDomain,
@@ -27,15 +27,21 @@ PATCH = patch_from_testfn(DOM, BUMP)
 
 
 def test_domain_validation():
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError, match="rectangle must be inside"):
         RectDomain(0.0, 1.0, -0.5, 1.0)
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError, match="mode cutoff exceeds mesh"):
         RectDomain(nx=4, ny=4, modes=64)
 
 
 def test_patch_rejects_support_outside_rectangle():
-    with pytest.raises(SupportViolationError):
+    with pytest.raises(InputError, match="support leaves the rectangle"):
         patch_from_testfn(DOM, Bump(0.1j, 0.3))
+
+
+def test_patch_rejects_support_holding_no_mesh_cell():
+    # a bump this small around 1.5i falls between the mesh's cell centres
+    with pytest.raises(InputError, match="support holds no mesh cell"):
+        patch_from_testfn(DOM, Bump(1.5j, 0.01))
 
 
 def test_patch_integral_matches_polar_quadrature():

@@ -1,8 +1,9 @@
 """Every name a slitflow module imports is used in that module, every
 module-level definition and constant is reachable from the CLI, the
-acceptance criteria, the scripts or the benchmark, scipy is imported only
-inside functions of ``stats.py`` (the KS test), and subcommands that run no
-KS test start on numpy alone."""
+acceptance criteria, the scripts or the benchmark, every raise names
+``InputError`` or ``NumericalError``, importing the package loads no
+submodule, scipy is imported only inside functions of ``stats.py`` (the KS
+test), and subcommands that run no KS test start on numpy alone."""
 
 import ast
 import os
@@ -68,8 +69,8 @@ def test_no_orphan_definitions():
     # reachable from a use: module-level code such as the CLI entry point,
     # the acceptance criteria, the scripts, the benchmark, or a tests/ helper
     # such as the reference evaluators the unit tests compare against.  Unit
-    # tests do not count, nor do imports and the package __init__'s
-    # re-exports; __version__ and __all__ are the package's metadata.
+    # tests do not count, nor do imports.  The package __init__ is not
+    # scanned: it holds only its docstring and __version__.
     # Definitions are keyed by place, as two modules may bind one name
     # (flow's aliases of the fields evaluators)
     defs = {}
@@ -77,7 +78,7 @@ def test_no_orphan_definitions():
     for path in _modules():
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             where = f"{path.name}:{node.lineno}"
-            stored = _stored(node) - {"__version__", "__all__"}
+            stored = _stored(node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[where, node.name] = _names(node)
             elif stored:
@@ -102,9 +103,28 @@ def test_no_orphan_definitions():
     assert not found, "definitions nothing reaches: " + ", ".join(found)
 
 
-def _loaded_after(code: str) -> list:
-    """scipy modules loaded in a fresh interpreter after running code."""
-    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_errors_are_input_or_numerical():
+    # the exception's class alone decides the CLI's exit code: InputError
+    # exits 2, NumericalError 1, so every raise names one of the two
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+    assert classes == ["SlitflowError", "InputError", "NumericalError"]
+    found = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name)
+                    and exc.id in ("InputError", "NumericalError")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "raises of other exceptions: " + ", ".join(found)
+
+
+def _loaded_after(code: str, roots=("scipy",)) -> list:
+    """Modules under ``roots`` loaded in a fresh interpreter after running code."""
+    probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules"
+             f" if m.split('.')[0] in {roots!r}))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
@@ -112,8 +132,10 @@ def _loaded_after(code: str) -> list:
 
 
 def test_import_does_not_load_scipy_stats():
-    loaded = _loaded_after("import slitflow")
-    assert "scipy.stats" not in loaded, loaded
+    # the package root holds only __version__: importing it loads no
+    # submodule, so neither numpy nor scipy
+    loaded = _loaded_after("import slitflow", ("slitflow", "numpy", "scipy"))
+    assert loaded == ["slitflow"], loaded
 
 
 def _scipy_imports(tree: ast.Module) -> set:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slitflow.classify import CftParams, build_u, enumerate_families
+from slitflow.errors import InputError
 from slitflow.flow import chordal_loewner, zero_driving
 from slitflow.gff import RectDomain, TestFn as Bump, patch_from_testfn
 from slitflow.observables import (
@@ -85,6 +86,13 @@ def test_cardy_zhan_credits_swallow_stops_with_the_oracle():
     assert min(res.mc[1:]) > 0.0
     assert abs(sum(res.mc) - 1.0) < 1e-12
     assert res.ambiguous_frac == 0.0
+
+
+@pytest.mark.parametrize("z", [4j, 1.0 - 0.5j, complex(math.inf, 1.0)])
+def test_cardy_zhan_rejects_points_outside_the_strip(z):
+    # a non-finite real part never meets a stop condition, so it is refused
+    with pytest.raises(InputError, match="seed point must be inside the strip"):
+        cardy_zhan(6.0, 0.0, z, n_paths=10, dt=1e-3, seed=1)
 
 
 def test_drift_modified_coupling_law():

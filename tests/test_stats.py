@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from slitflow.errors import ParameterRangeError
+from slitflow.errors import InputError
 from slitflow.stats import McReport, drift_test, ks_normality
 
 
@@ -40,7 +40,7 @@ def test_drift_test_detects_bias():
 
 
 def test_drift_test_requires_enough_paths():
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(InputError, match="needs at least 100 paths"):
         drift_test(np.zeros(50))
 
 
