@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -25,35 +25,24 @@ from .fields import FieldCoeffs, eval_field, eval_field_prime
 
 
 @dataclass(frozen=True)
-class CftParams:
-    """Central-charge bookkeeping for a given kappa."""
-
-    kappa: float
-    a: float = field(init=False)
-    bb: float = field(init=False)
-    c: float = field(init=False)
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise InputError("kappa must be positive")
-        a = math.sqrt(2.0 / self.kappa)
-        bb = math.sqrt(self.kappa / 8.0) - a
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "bb", bb)
-        object.__setattr__(self, "c", 1.0 - 12.0 * bb * bb)
-
-
-@dataclass(frozen=True)
 class FlowModel:
-    """One slit flow together with its coupled-modification data; B is
-    beta*sqrt(kappa)."""
+    """One slit flow together with its coupled-modification data, in
+    floats; B is beta*sqrt(kappa), and kappa fixes the CFT constants
+    a = sqrt(2/kappa) and bb = sqrt(kappa/8) - a."""
 
     kappa: float
     alpha: float
     B: float
     b: FieldCoeffs
     sigma: FieldCoeffs
-    cft: CftParams
+
+    @property
+    def a(self) -> float:
+        return math.sqrt(2.0 / self.kappa)
+
+    @property
+    def bb(self) -> float:
+        return math.sqrt(self.kappa / 8.0) - self.a
 
 
 def system_matrix(kappa, sigma0, sigma1, alpha, B):
@@ -149,18 +138,21 @@ class FamilySpec:
     sigma: FieldCoeffs
     parameter: str  # 'alpha' or 'beta'
 
-    def coefficients(self, alpha=0, B=None):
-        """Exact (b, alpha, B) for a parameter value, as Fractions; a float
-        parameter enters as the binary fraction it stores."""
+    def coefficients(self, alpha, B):
+        """Exact (b, alpha, B) for the family's own parameter, as Fractions.
+
+        An alpha-family (drift) reads alpha and ignores B; a beta-family
+        reads B = beta*sqrt(kappa) and ignores alpha.  A float parameter
+        enters as the binary fraction it stores.
+        """
         k = self.kappa
-        alpha = Fraction(alpha)
         half, eighth = Fraction(1, 2), Fraction(1, 8)
-        if self.parameter == "beta":
+        if self.parameter == "alpha":
+            alpha = Fraction(alpha)
+        elif k == 8:
             family = self.name.split("(")[0]
-            if B is None:
-                raise InputError(f"{family} is parametrized by B")
-            if k == 8:
-                raise InputError(f"{family} degenerates at kappa = 8")
+            raise InputError(f"{family} degenerates at kappa = 8")
+        else:
             B = Fraction(B)
         if self.name == "chordal-drift":
             return FieldCoeffs("b", -alpha, 0, 0), alpha, alpha * alpha
@@ -186,20 +178,12 @@ class FamilySpec:
             )
         raise InputError(f"unknown family {self.name!r}")
 
-    def instantiate(self, alpha=0.0, B=None) -> FlowModel:
-        k = float(self.kappa)
-        if self.parameter == "alpha":
-            b, al, Bc = self.coefficients(alpha=alpha)
-        else:
-            b, al, Bc = self.coefficients(B=B if B is not None else 0)
-        return FlowModel(
-            kappa=k,
-            alpha=float(al),
-            B=float(Bc),
-            b=b,
-            sigma=self.sigma,
-            cft=CftParams(k),
-        )
+    def instantiate(self, alpha, B) -> FlowModel:
+        """The float flow model; alpha and B are read as coefficients() reads them."""
+        b, al, Bc = self.coefficients(alpha, B)
+        return FlowModel(kappa=float(self.kappa), alpha=float(al),
+                         B=float(Bc), b=b.as_float(),
+                         sigma=self.sigma.as_float())
 
 
 def enumerate_families(kappa) -> list:
@@ -239,9 +223,9 @@ class HarmonicU:
     """
 
     log_terms: tuple  # ((rho, coef), ...)
-    lin_coef: float = 0.0
-    const: float = 0.0
-    mu: float = 0.0
+    lin_coef: float
+    const: float
+    mu: float
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
@@ -286,9 +270,9 @@ def build_u(model: FlowModel) -> HarmonicU:
     half-plane whose combined coefficient has a nonzero real part makes u
     discontinuous there, which is reported as a branch obstruction.
     """
-    a = model.cft.a
-    bb = model.cft.bb
-    alpha = float(model.alpha)
+    a = model.a
+    bb = model.bb
+    alpha = model.alpha
     sigma = model.sigma
     roots = _sigma_roots(sigma)
     if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-12:
@@ -344,23 +328,22 @@ def lie_sigma2_u(model: FlowModel, u: HarmonicU, z):
     return np.imag(eval_field(s, z) * g_prime)
 
 
-def check_annihilation(model: FlowModel, u: HarmonicU, samples: Sequence[complex]):
-    """Per-sample residual of (-L_b + (kappa/2) L_sigma^2) u."""
+def check_annihilation(model: FlowModel, u: HarmonicU,
+                       samples: Sequence[complex]) -> float:
+    """Largest residual of (-L_b + (kappa/2) L_sigma^2) u over the samples."""
     z = np.asarray(samples, dtype=complex)
     if np.any(z.imag <= 0):
         raise InputError("samples must lie in the upper half-plane")
     res = -lie_b_u(model, u, z) + 0.5 * model.kappa * lie_sigma2_u(model, u, z)
-    res = np.abs(res)
-    return {"max": float(np.max(res)), "residuals": res}
+    return float(np.max(np.abs(res)))
 
 
-def check_bsigma(model: FlowModel, samples: Sequence[complex]):
-    """Per-sample residual of the b-sigma compatibility relation."""
+def check_bsigma(model: FlowModel, samples: Sequence[complex]) -> float:
+    """Largest residual of the b-sigma compatibility relation over the
+    samples away from the zeros of z (alpha z + 2)."""
     z = np.asarray(samples, dtype=complex)
-    k = float(model.kappa)
-    alpha = float(model.alpha)
-    B = model.B
-    denom = z * (alpha * z + 2.0)
+    k, B = model.kappa, model.B
+    denom = z * (model.alpha * z + 2.0)
     keep = np.abs(denom) > 1e-8
     z = z[keep]
     denom = denom[keep]
@@ -371,5 +354,4 @@ def check_bsigma(model: FlowModel, samples: Sequence[complex]):
     # bb*sqrt(2 kappa) = kappa/2 - 2 exactly
     num = -k * s * s - B * z * z * s - (k / 2.0 - 2.0) * z * z * (bp * s - b * sp)
     res = np.abs(b - num / denom)
-    return {"max": float(np.max(res)) if res.size else 0.0, "residuals": res,
-            "skipped": int(np.sum(~keep))}
+    return float(np.max(res)) if res.size else 0.0

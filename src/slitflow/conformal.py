@@ -242,12 +242,13 @@ class ScMap:
     def __call__(self, z):
         """Evaluate the strip chart map f(z) = h(e^z) for z in the closed strip.
 
-        Takes a complex scalar or array.  Points with |Re z| > 50 map to the
-        vertex they approach, without evaluating exp.
+        Takes a complex scalar or array.  Points with |Re z| > 50, infinite
+        ones included, map to the vertex they approach, without evaluating
+        exp; a NaN real part is not in the strip.
         """
         z = np.asarray(z, dtype=complex)
         x = z.real
-        if not np.all((0.0 <= z.imag) & (z.imag <= math.pi)):
+        if not np.all((0.0 <= z.imag) & (z.imag <= math.pi) & ~np.isnan(x)):
             raise InputError(f"point not in the closed strip: {z!r}")
         right, left = x > 50.0, x < -50.0
         inside = ~(right | left)

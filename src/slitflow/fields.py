@@ -143,8 +143,10 @@ def lie_green_closed(v: FieldCoeffs, z1, z2):
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1.0)
-    if np.any(np.abs(z1 - z2) < 1e-13 * scale):
-        raise InputError(f"coincident points {z1}, {z2}")
+    close = np.flatnonzero(np.abs(z1 - z2) < 1e-13 * scale)
+    if close.size:  # name the first pair only: the arrays may be long
+        p1, p2 = (np.broadcast_to(z, scale.shape).flat[close[0]] for z in (z1, z2))
+        raise InputError(f"coincident points {p1}, {p2} (flat index {close[0]})")
     v1, v2 = eval_field(v, z1), eval_field(v, z2)
     return np.real(v1 / (z1 - np.conj(z2)) + v2 / (z2 - np.conj(z1))
                    - (v1 - v2) / (z1 - z2))

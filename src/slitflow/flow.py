@@ -169,8 +169,6 @@ class EnsembleResult:
     w: np.ndarray            # (n_paths, P) terminal map values
     log_wp: np.ndarray       # (n_paths, P) terminal log-derivatives
     alive: np.ndarray        # (n_paths, P) False where frozen before T
-    horizon: float
-    dt: float
 
 
 def _fold(drift, noise, dt: float, sqk: float) -> list:
@@ -245,9 +243,9 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     n_steps = _n_steps(T, dt)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(np.random.SeedSequence(rng))
-    bm1, b0, b1 = model.b.as_float().coeffs
-    s0, s1 = model.sigma.as_float().coeffs
-    kappa = float(model.kappa)
+    bm1, b0, b1 = model.b.coeffs
+    s0, s1 = model.sigma.coeffs
+    kappa = model.kappa
     k = 0.5 * kappa
     sqk = math.sqrt(kappa)
     w_terms = _fold(
@@ -305,5 +303,4 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
         np.copyto(li, lin, where=alive)
         if callback is not None:
             callback(i + 1, (i + 1) * dt, *live)
-    return EnsembleResult(pts, _complex(x, y), _complex(lr, li), alive,
-                          float(n_steps * dt), dt)
+    return EnsembleResult(pts, _complex(x, y), _complex(lr, li), alive)

@@ -115,12 +115,7 @@ class SupportPatch:
     ix: np.ndarray
     iy: np.ndarray
     centers: np.ndarray  # complex cell centers
-    values: np.ndarray
-    weights: np.ndarray  # values * cell area
-
-    @property
-    def integral(self) -> float:
-        return float(np.sum(self.weights))
+    weights: np.ndarray  # test function values * cell area
 
 
 def patch_from_testfn(dom: RectDomain, p: TestFn) -> SupportPatch:
@@ -146,10 +141,8 @@ def patch_from_testfn(dom: RectDomain, p: TestFn) -> SupportPatch:
     keep = vals > 0.0
     if not keep.any():
         raise InputError("test function support holds no mesh cell")
-    return SupportPatch(
-        dom, ii[keep], jj[keep], zz[keep], vals[keep],
-        vals[keep] * dom.cell_area,
-    )
+    return SupportPatch(dom, ii[keep], jj[keep], zz[keep],
+                        vals[keep] * dom.cell_area)
 
 
 # -- eigenbasis --------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import CftParams, FlowModel, build_u, enumerate_families
+from .classify import FlowModel, build_u, enumerate_families
 from .conformal import green_half_plane_grid, sc_map_build
 from .errors import InputError
 from .flow import EPS_SWALLOW, simulate_ensemble
@@ -28,7 +28,6 @@ from .gff import (
 from .stats import drift_test, ks_normality
 
 ESCAPE_RE = 20.0
-T_MAX_DEFAULT = 30.0
 C_SING_STRIP = 5e-3  # cardy_zhan step clamp: h = min(dt, C_SING_STRIP |Z|^2)
 VERTEX_TOL = 0.95  # a stop with no exit probability above this is ambiguous
 
@@ -68,7 +67,7 @@ def _family_model(geometry: str, kappa: float, alpha: float) -> FlowModel:
     name = {"chordal": "chordal-drift", "dipolar": "dipolar-drift"}[geometry]
     for spec in enumerate_families(kappa):
         if spec.name == name:
-            return spec.instantiate(alpha=alpha)
+            return spec.instantiate(alpha, 0)
     raise InputError(f"family {name} unavailable at kappa={kappa}")
 
 
@@ -107,7 +106,7 @@ def martingale_suite(geometry: str, kappa: float, alpha: float,
     for j in range(3):
         deltas = u_of(res.w[:, j], res.log_wp[:, j]) - u0[j]
         reports.append(
-            drift_test(deltas, f"{tag}-u@{pts[j]:g}", seed, dt)
+            drift_test(deltas, f"{tag}-u@{pts[j]:g}")
         )
     for i1, i2 in MARTINGALE_PAIRS:
         m_T = (
@@ -117,16 +116,16 @@ def martingale_suite(geometry: str, kappa: float, alpha: float,
         )
         m_0 = u0[i1] * u0[i2] + 2.0 * green_half_plane_grid(pts[i1], pts[i2])
         reports.append(
-            drift_test(m_T - m_0, f"{tag}-pair@{i1}{i2}", seed, dt)
+            drift_test(m_T - m_0, f"{tag}-pair@{i1}{i2}")
         )
     vlog = chordal_vertex_log if geometry == "chordal" else dipolar_vertex_log
     m_T = np.exp(vlog(kappa, alpha, res.w[:, 0], res.log_wp[:, 0]))
     m_0 = complex(np.exp(vlog(kappa, alpha, pts[0], 0.0)))
     reports.append(
-        drift_test(m_T.real - m_0.real, f"{tag}-vertex-re", seed, dt)
+        drift_test(m_T.real - m_0.real, f"{tag}-vertex-re")
     )
     reports.append(
-        drift_test(m_T.imag - m_0.imag, f"{tag}-vertex-im", seed, dt)
+        drift_test(m_T.imag - m_0.imag, f"{tag}-vertex-im")
     )
     return reports
 
@@ -142,9 +141,6 @@ class QvResult:
     qv_se: float
     e0: float
     e_terminal_mean: float
-    n: int
-    seed: int
-    dt: float
 
     @property
     def target(self) -> float:
@@ -168,7 +164,7 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
     bump = bump or TestFn(2.0j, 0.3)
     patch = patch_from_testfn(RectDomain(), bump)
     model = _family_model("chordal", kappa, 0.0)
-    two_a = 2.0 * CftParams(kappa).a
+    two_a = 2.0 * model.a
     wgt = patch.weights
     state = {"prev": None, "qv": np.zeros(n_paths)}
 
@@ -184,10 +180,8 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
         energy_from_map(patch, res.w[i], res.log_wp[i]) for i in range(n_paths)
     ])
     qv = state["qv"]
-    return QvResult(
-        float(qv.mean()), float(qv.std(ddof=1) / math.sqrt(n_paths)),
-        e0, float(e_T.mean()), n_paths, seed, dt,
-    )
+    se = float(qv.std(ddof=1) / math.sqrt(n_paths))
+    return QvResult(float(qv.mean()), se, e0, float(e_T.mean()))
 
 
 # -- hitting-probability experiment ---------------------------------------------
@@ -210,8 +204,6 @@ class CardyZhanResult:
     oracle: tuple
     ambiguous_frac: float
     oracle_share: float
-    seed: Optional[int]
-    dt: float
 
     @property
     def max_abs_err(self) -> float:
@@ -226,7 +218,7 @@ class CardyZhanResult:
 
 
 def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
-               t_max: float = T_MAX_DEFAULT, dt: float = 2e-4,
+               t_max: float = 30.0, dt: float = 2e-4,
                seed: int = 0) -> CardyZhanResult:
     """Classify strip points under the dipolar drift flow and compare to the oracle.
 
@@ -292,7 +284,6 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     return CardyZhanResult(
         kappa, alpha, z, n_paths, mc, se, oracle,
         float(np.mean(top <= VERTEX_TOL)), float(np.mean(1.0 - top)),
-        seed, dt,
     )
 
 
@@ -345,7 +336,6 @@ class CouplingResult:
     mean_target: float
     var_target: float
     flagged: int
-    seed: int
     n: int
 
     @property
@@ -428,5 +418,4 @@ def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
         parts = [_coupling_chunk(j) for j in jobs]
     samples = np.concatenate([p[0] for p in parts])
     flagged = sum(p[1] for p in parts)
-    return CouplingResult(samples, mean_target, var_target, flagged, seed,
-                          n_samples)
+    return CouplingResult(samples, mean_target, var_target, flagged, n_samples)

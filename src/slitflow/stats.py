@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .errors import InputError
@@ -29,8 +27,6 @@ class McReport:
     mean: float
     variance: float
     target: float
-    seed: Optional[int] = None
-    dt: Optional[float] = None
     se: float = field(init=False)
     zscore: float = field(init=False)
     passed: bool = field(init=False)
@@ -55,7 +51,7 @@ class McReport:
         }
 
 
-def drift_test(deltas, name: str = "drift", seed=None, dt=None) -> McReport:
+def drift_test(deltas, name: str = "drift") -> McReport:
     """Test whether per-path increments have zero mean.
 
     deltas are terminal-minus-initial values of one observable across
@@ -69,8 +65,7 @@ def drift_test(deltas, name: str = "drift", seed=None, dt=None) -> McReport:
     if variance == 0.0:
         # degenerate-variance warning is encoded in the report name
         name = name + " [degenerate variance]"
-    return McReport(name, deltas.size, float(np.mean(deltas)), variance, 0.0,
-                    seed=seed, dt=dt)
+    return McReport(name, deltas.size, float(np.mean(deltas)), variance, 0.0)
 
 
 def ks_normality(samples, mean: float, std: float):

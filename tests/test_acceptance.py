@@ -58,10 +58,7 @@ def test_criterion_1_classification_roundtrip():
     families = 0
     for kappa in (2, 3, 4, 5, 6):
         for spec in enumerate_families(Fraction(kappa)):
-            if spec.parameter == "alpha":
-                b, alpha, B = spec.coefficients(alpha=Fraction(1, 3))
-            else:
-                b, alpha, B = spec.coefficients(B=Fraction(2, 9))
+            b, alpha, B = spec.coefficients(Fraction(1, 3), Fraction(2, 9))
             sol = solve_system(
                 Fraction(kappa), spec.sigma.c1, spec.sigma.c2, alpha, B=B
             )
@@ -114,12 +111,8 @@ def test_criterion_3_generator_annihilation():
     checked = 0
     for kappa in (3.0, 4.0, 6.0):
         for spec in enumerate_families(kappa):
-            if spec.parameter == "alpha":
-                model = spec.instantiate(alpha=0.3)
-            else:
-                model = spec.instantiate(B=0.2)
-            res = check_annihilation(model, build_u(model), pts)
-            worst = max(worst, res["max"])
+            model = spec.instantiate(0.3, 0.2)
+            worst = max(worst, check_annihilation(model, build_u(model), pts))
             checked += 1
     ok = worst < 1e-8
     _report(3, ok, f"{checked} families, max residual {worst:.2e}")

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slitflow.classify import (
-    CftParams,
     build_u,
     check_annihilation,
     check_bsigma,
@@ -47,27 +46,27 @@ def test_exact_coefficient_formulas(kappa):
     fams = _families(kappa)
     k = kappa
     al = Fraction(2, 7)
-    b, a_out, B = fams["chordal-drift"].coefficients(alpha=al)
+    b, a_out, B = fams["chordal-drift"].coefficients(al, None)
     assert (b.c1, b.c2, b.c3) == (-al, 0, 0) and B == al * al
 
     Bv = Fraction(3, 5)
-    b, a_out, B = fams["parabolic-beta"].coefficients(B=Bv)
+    b, a_out, B = fams["parabolic-beta"].coefficients(None, Bv)
     assert (b.c1, b.c2, b.c3) == (0, 2 * Bv / (k - 8), 0)
     assert a_out == 0 and B == Bv
 
-    b, a_out, B = fams["dipolar-drift"].coefficients(alpha=al)
+    b, a_out, B = fams["dipolar-drift"].coefficients(al, None)
     assert (b.c1, b.c2, b.c3) == (-al, Fraction(-1, 2), al / 4)
     assert B == al * al - 1
 
     for sign, nm in ((1, "hyperbolic-beta(+)"), (-1, "hyperbolic-beta(-)")):
-        b, a_out, B = fams[nm].coefficients(B=Bv)
+        b, a_out, B = fams[nm].coefficients(None, Bv)
         assert a_out == sign * (k - 6) / 2
         assert b.c1 == -a_out
         assert b.c2 == Fraction(3 - k, 2) + 2 * Bv / (k - 8)
         assert b.c3 == -sign * Fraction(1, 8) * (k - 2 - 8 * Bv / (k - 8))
 
     if kappa == 6:
-        b, a_out, B = fams["radial6-drift"].coefficients(alpha=al)
+        b, a_out, B = fams["radial6-drift"].coefficients(al, None)
         assert (b.c1, b.c2, b.c3) == (-al, Fraction(1, 2), -al / 4)
         assert B == 1 + al * al
 
@@ -75,10 +74,7 @@ def test_exact_coefficient_formulas(kappa):
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_solve_system_roundtrip_exact(kappa):
     for spec in enumerate_families(kappa):
-        if spec.parameter == "alpha":
-            b, alpha, B = spec.coefficients(alpha=Fraction(1, 3))
-        else:
-            b, alpha, B = spec.coefficients(B=Fraction(2, 9))
+        b, alpha, B = spec.coefficients(Fraction(1, 3), Fraction(2, 9))
         res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
         assert res.status in ("unique", "free")
         assert all(abs(float(r)) < 1e-12 for r in res.residuals)
@@ -97,10 +93,10 @@ def test_degenerate_kappa_eight_raises():
     fams = _families(Fraction(8))
     with pytest.raises(InputError,
                        match="parabolic-beta degenerates at kappa = 8"):
-        fams["parabolic-beta"].coefficients(B=Fraction(1, 2))
+        fams["parabolic-beta"].coefficients(None, Fraction(1, 2))
     with pytest.raises(InputError,
                        match="hyperbolic-beta degenerates at kappa = 8"):
-        fams["hyperbolic-beta(+)"].coefficients(B=Fraction(1, 2))
+        fams["hyperbolic-beta(+)"].coefficients(None, Fraction(1, 2))
 
 
 def test_kappa_six_free_families():
@@ -109,10 +105,7 @@ def test_kappa_six_free_families():
     free = {"parabolic-beta", "hyperbolic-beta(+)", "hyperbolic-beta(-)"}
     kappa = Fraction(6)
     for spec in enumerate_families(kappa):
-        if spec.parameter == "alpha":
-            b, alpha, B = spec.coefficients(alpha=Fraction(1, 3))
-        else:
-            b, alpha, B = spec.coefficients(B=Fraction(2, 9))
+        b, alpha, B = spec.coefficients(Fraction(1, 3), Fraction(2, 9))
         res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
         assert res.status == ("free" if spec.name in free else "unique"), spec.name
 
@@ -123,10 +116,7 @@ def test_float_kappa_near_six_solves_exactly():
     # finds the family's own b with every residual exactly 0
     kappa = 6 + 1e-12
     for spec in enumerate_families(kappa):
-        if spec.parameter == "alpha":
-            b, alpha, B = spec.coefficients(alpha=0.3)
-        else:
-            b, alpha, B = spec.coefficients(B=0.5)
+        b, alpha, B = spec.coefficients(0.3, 0.5)
         res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
         assert res.status == "unique", spec.name
         assert res.b.coeffs == b.coeffs, spec.name
@@ -138,11 +128,15 @@ def test_float_kappa_near_six_solves_exactly():
 
 
 def test_cft_params_identities():
+    # every model carries the CFT constants its kappa fixes
     for kappa in (2.0, 3.0, 4.0, 6.0, 8.0):
-        p = CftParams(kappa)
-        assert p.a == pytest.approx((2.0 / kappa) ** 0.5)
-        assert 2 * p.bb == pytest.approx(p.a * (kappa - 4.0) / 2.0)
-        assert p.c == pytest.approx(1.0 - 12.0 * p.bb ** 2)
+        for spec in enumerate_families(kappa):
+            if kappa == 8.0 and "beta" in spec.name:
+                continue
+            m = spec.instantiate(0.3, 0.5)
+            assert m.a == math.sqrt(2.0 / kappa)
+            assert m.bb == math.sqrt(kappa / 8.0) - m.a
+            assert 2 * m.bb == pytest.approx(m.a * (kappa - 4.0) / 2.0)
 
 
 SAMPLE_POINTS = (
@@ -154,24 +148,17 @@ SAMPLE_POINTS = (
 @pytest.mark.parametrize("kappa", [3.0, 4.0, 6.0])
 def test_generator_annihilates_u(kappa):
     for spec in enumerate_families(kappa):
-        if spec.parameter == "alpha":
-            model = spec.instantiate(alpha=0.3)
-        else:
-            model = spec.instantiate(B=0.2 * math.sqrt(kappa))
-        u = build_u(model)
-        rep = check_annihilation(model, u, SAMPLE_POINTS)
-        assert rep["max"] < 1e-8, (spec.name, rep["max"])
+        model = spec.instantiate(0.3, 0.2 * math.sqrt(kappa))
+        res = check_annihilation(model, build_u(model), SAMPLE_POINTS)
+        assert res < 1e-8, (spec.name, res)
 
 
 @pytest.mark.parametrize("kappa", [3.0, 4.0, 6.0])
 def test_bsigma_consistency(kappa):
     for spec in enumerate_families(kappa):
-        if spec.parameter == "alpha":
-            model = spec.instantiate(alpha=0.3)
-        else:
-            model = spec.instantiate(B=0.2 * math.sqrt(kappa))
-        rep = check_bsigma(model, SAMPLE_POINTS)
-        assert rep["max"] < 1e-8, (spec.name, rep["max"])
+        model = spec.instantiate(0.3, 0.2 * math.sqrt(kappa))
+        res = check_bsigma(model, SAMPLE_POINTS)
+        assert res < 1e-8, (spec.name, res)
 
 
 @settings(max_examples=30, deadline=None)
@@ -187,7 +174,7 @@ def test_solve_system_roundtrips_random_exact_parameters(num, den, knum):
     for spec in enumerate_families(kappa):
         if spec.parameter != "alpha":
             continue
-        b, alpha, B = spec.coefficients(alpha=al)
+        b, alpha, B = spec.coefficients(al, None)
         res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
         assert res.status in ("unique", "free")
         direct = system_residuals(
@@ -198,7 +185,7 @@ def test_solve_system_roundtrips_random_exact_parameters(num, den, knum):
 
 def test_u_value_matches_closed_form_chordal():
     spec = _families(4.0)["chordal-drift"]
-    model = spec.instantiate(alpha=0.0)
+    model = spec.instantiate(0.0, None)
     u = build_u(model)
     z = 1j
-    assert u.value(z) == pytest.approx(2.0 * CftParams(4.0).a * np.pi / 2.0)
+    assert u.value(z) == pytest.approx(2.0 * model.a * np.pi / 2.0)

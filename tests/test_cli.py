@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from slitflow import fields
+from slitflow import cli, fields
 from slitflow.classify import FamilySpec, enumerate_families
 from slitflow.cli import main
 
@@ -82,6 +82,28 @@ def test_classify_fails_when_the_family_b_is_wrong(monkeypatch, capsys):
     assert len(rows) == 5 and not any(r["passed"] for r in rows)
 
 
+def test_check_identities_checks_beta_families_at_catalogue_b(monkeypatch,
+                                                               capsys):
+    # the beta-families are checked at the B that classify lists them by;
+    # at B = 0 parabolic-beta is plain chordal SLE and its b-sigma residual
+    # would vanish by construction
+    seen = []
+    check_bsigma = cli.check_bsigma
+
+    def record(model, samples):
+        seen.append(model.B)
+        return check_bsigma(model, samples)
+
+    monkeypatch.setattr(cli, "check_bsigma", record)
+    rc = main(["check-identities", "--kappa", "3", "--seed", "1",
+               "--alpha", "0.3"])
+    capsys.readouterr()
+    assert rc == 0
+    names = [f.name for f in enumerate_families(3.0)]
+    betas = [B for name, B in zip(names, seen, strict=True) if "beta" in name]
+    assert betas == [cli.B_CATALOGUE] * 3 == [0.5] * 3
+
+
 def test_ndjson_format(capsys):
     rc = main(["classify", "--kappa", "3", "--format", "ndjson"])
     out = capsys.readouterr().out.strip().splitlines()
@@ -128,6 +150,11 @@ def test_bad_flag_value_exits_two(capsys):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and "config error" in err, argv
+    # only a trailing i is the imaginary unit, so 'inf' parses as infinity
+    for z in ("inf+1i", "1+infi"):
+        assert main(["simulate", "--seed", "1", f"--z={z}"]) == 2, z
+        out, err = capsys.readouterr()
+        assert out == "" and f"complex number '{z}' must be finite" in err, z
 
 
 def test_non_finite_point_exits_two_without_hanging():

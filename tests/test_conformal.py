@@ -133,6 +133,22 @@ def test_sc_map_rejects_bad_parameters():
         sm(1.0 + 4.0j)
 
 
+def test_sc_map_rejects_nan_real_part_without_warning():
+    # a NaN real part is no point of the strip; infinite ones still map to
+    # the vertex they approach
+    sm = sc_map_build(6.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (complex(math.nan, 1.0),
+                  np.array([0.5 + 1.0j, complex(math.nan, 1.0), 2.0j])):
+            with pytest.raises(InputError, match="not in the closed strip"):
+                sm.exit_probabilities(z)
+        np.testing.assert_array_equal(
+            sm.exit_probabilities(np.array([complex(math.inf, 1.0),
+                                            complex(-math.inf, 2.0)])),
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
 def test_strip_chart_consistent_with_half_plane_chart():
     sm = sc_map_build(8.0, 0.2)
     z = 0.4 + 1.0j

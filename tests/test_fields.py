@@ -61,6 +61,18 @@ def test_lie_green_coincident_rejected():
         lie_green_closed(FieldCoeffs.b_field(0, 0, 0), 1j, 1j)
 
 
+def test_lie_green_coincidence_error_names_one_pair():
+    # a long array with one coincident pair: the message names that pair,
+    # not both whole arrays
+    z1 = np.linspace(-2.0, 2.0, 1000) + 1j
+    z2 = z1 + 0.5j
+    z2[437] = z1[437]
+    with pytest.raises(InputError, match="coincident points") as info:
+        lie_green_closed(FieldCoeffs.sigma_field(0.3, -0.2), z1, z2)
+    msg = str(info.value)
+    assert len(msg) < 200 and "flat index 437" in msg and str(z1[437]) in msg
+
+
 def test_full_b_field_matches_finite_difference_lie():
     b = FieldCoeffs.b_field(0.12, -0.4, 0.21)
     z1, z2 = 0.9 + 0.8j, -0.4 + 1.6j

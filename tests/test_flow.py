@@ -21,7 +21,7 @@ from slitflow.observables import MARTINGALE_POINTS, _family_model
 
 def _chordal_model(kappa=4.0, alpha=0.0):
     fams = {f.name: f for f in enumerate_families(kappa)}
-    return fams["chordal-drift"].instantiate(alpha=alpha)
+    return fams["chordal-drift"].instantiate(alpha, None)
 
 
 def _brownian_driving(kappa, alpha, T, dt, seed):

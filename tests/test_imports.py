@@ -121,6 +121,22 @@ def test_errors_are_input_or_numerical():
     assert not found, "raises of other exceptions: " + ", ".join(found)
 
 
+def test_family_parameter_is_read_only_by_the_family():
+    # which of alpha or B a family takes is decided in FamilySpec alone:
+    # no other module, no script and no acceptance criterion reads
+    # .parameter to choose the argument for it
+    paths = [p for p in _modules() if p.name != "classify.py"]
+    paths += sorted((REPO / "scripts").glob("*.py"))
+    paths.append(REPO / "tests" / "test_acceptance.py")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "parameter"
+    ]
+    assert not found, "reads of .parameter outside FamilySpec: " + ", ".join(found)
+
+
 def _loaded_after(code: str, roots=("scipy",)) -> list:
     """Modules under ``roots`` loaded in a fresh interpreter after running code."""
     probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules"

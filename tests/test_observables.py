@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from slitflow.classify import CftParams, build_u, enumerate_families
+from slitflow.classify import build_u, enumerate_families
 from slitflow.errors import InputError
 from slitflow.flow import chordal_loewner, zero_driving
 from slitflow.gff import RectDomain, TestFn as Bump, patch_from_testfn
@@ -43,7 +43,7 @@ def test_u_process_zero_noise_is_constant_at_kappa4():
     # only along the martingale average, not pathwise - but on the imaginary
     # axis arg w stays pi/2 exactly
     fam = {f.name: f for f in enumerate_families(4.0)}["chordal-drift"]
-    u = build_u(fam.instantiate(alpha=0.0))
+    u = build_u(fam.instantiate(0.0, None))
     path = chordal_loewner(zero_driving(0.0, 0.2, 1e-3), 1j)
     n = path.last_alive_index()
     # u_t as martingale_suite evaluates it: u(w_t) + mu Im log w'_t
@@ -105,7 +105,7 @@ def test_drift_modified_coupling_law():
     assert res.flagged == 0
     patch = patch_from_testfn(RectDomain(), Bump(1.5j, 0.3))
     target_alpha0 = float(
-        2.0 * CftParams(4.0).a * np.angle(patch.centers) @ patch.weights
+        2.0 * math.sqrt(2.0 / 4.0) * np.angle(patch.centers) @ patch.weights
     )
     assert abs(res.mean - target_alpha0) > 10.0 * res.se
 
