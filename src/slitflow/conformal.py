@@ -248,8 +248,12 @@ class ScMap:
         """
         z = np.asarray(z, dtype=complex)
         x = z.real
-        if not np.all((0.0 <= z.imag) & (z.imag <= math.pi) & ~np.isnan(x)):
-            raise InputError(f"point not in the closed strip: {z!r}")
+        bad = ~((0.0 <= z.imag) & (z.imag <= math.pi) & ~np.isnan(x))
+        if bad.any():
+            raise InputError(
+                f"{np.count_nonzero(bad)} point(s) not in the closed strip, "
+                f"first {z[bad][0]}"
+            )
         right, left = x > 50.0, x < -50.0
         inside = ~(right | left)
         out = np.empty_like(z)

@@ -28,7 +28,9 @@ from .gff import (
 from .stats import drift_test, ks_normality
 
 ESCAPE_RE = 20.0
-C_SING_STRIP = 5e-3  # cardy_zhan step clamp: h = min(dt, C_SING_STRIP |Z|^2)
+C_SING_STRIP = 5e-3  # cardy_zhan near-pole clamp: h <= C_SING_STRIP |Z|^2
+FLAT_RE = 4.0  # cardy_zhan steps are dt for |Re Z| <= FLAT_RE, e-fold beyond
+H_MAX = 0.05  # cap on those longer steps; a dt above it is kept as it is
 VERTEX_TOL = 0.95  # a stop with no exit probability above this is ambiguous
 
 
@@ -187,6 +189,23 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
 # -- hitting-probability experiment ---------------------------------------------
 
 
+def _strip_step(x, y, dt):
+    """cardy_zhan's Euler-Maruyama step at the strip points x + iy.
+
+    h = min(C_SING_STRIP |Z|^2, max(dt, min(dt e^(|x| - FLAT_RE), H_MAX))):
+    exactly dt for |x| <= FLAT_RE away from the pole, never below dt
+    elsewhere, and the near-pole clamp wherever that is smaller.  Takes
+    float arrays.
+    """
+    h = np.abs(x)
+    h -= FLAT_RE
+    np.exp(h, out=h)
+    h *= dt
+    np.minimum(h, H_MAX, out=h)
+    np.maximum(h, dt, out=h)
+    return np.minimum(h, C_SING_STRIP * (x * x + y * y), out=h)
+
+
 @dataclass
 class CardyZhanResult:
     """Monte Carlo endpoint frequencies against the triangle-map oracle.
@@ -223,10 +242,13 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     """Classify strip points under the dipolar drift flow and compare to the oracle.
 
     Simulates Z_t = g_t(z) - xi_t with dZ = (coth(Z/2) - alpha) dt - sqrt(k) dB
-    using a per-path step min(dt, C_SING_STRIP |Z|^2) near the swallowing
-    singularity; C_SING_STRIP = 5e-3 keeps the per-step noise below ~0.2 |Z|
-    so the hitting probability of the swallow threshold is resolved without
-    bias.  One rule stops a path: the first sweep at which |Z| < EPS_SWALLOW,
+    by Euler-Maruyama with the per-path step of `_strip_step`: dt where
+    |Re Z| <= FLAT_RE, growing by a factor e per unit of |Re Z| beyond it up
+    to max(dt, H_MAX), where the drift is constant up to 2 e^(-|Re Z|); and
+    never above C_SING_STRIP |Z|^2 near the swallowing pole.  That clamp
+    keeps the per-step noise below ~0.2 |Z|, but it is scale-invariant, so
+    the swallow frequency keeps a small bias that does not shrink with dt.
+    One rule stops a path: the first sweep at which |Z| < EPS_SWALLOW,
     |Re Z| > ESCAPE_RE or t >= t_max.  The exit-probability vector is a
     bounded martingale of the flow, so crediting every path with its oracle
     barycentrics at its stop point is unbiased (optional stopping); a stop
@@ -251,8 +273,12 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     classify_every = 8
     step = 0
     while x.size:
-        r2 = x * x + y * y
-        h = np.minimum(dt, C_SING_STRIP * r2)
+        row = step % classify_every
+        if not row:
+            # one draw per sweep consumes the generator in the same order as
+            # one draw per step, since the live set changes only at sweeps
+            noise = rng.standard_normal((classify_every, x.size))
+        h = _strip_step(x, y, dt)
         # the time-horizon clamp can round a hair negative once t ~ t_max
         np.minimum(h, np.maximum(t_max - t, 0.0), out=h)
         # cancellation-free form of cosh(x) - cos(y); the naive difference
@@ -261,7 +287,7 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
         sny = np.sin(0.5 * y)
         den = 2.0 * (shx * shx + sny * sny)
         x += (np.sinh(x) / den - alpha) * h
-        x -= (sqk * np.sqrt(h)) * rng.standard_normal(x.size)
+        x -= (sqk * np.sqrt(h)) * noise[row]
         y -= (np.sin(y) / den) * h
         t += h
         step += 1

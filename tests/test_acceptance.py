@@ -207,18 +207,21 @@ def test_criterion_8_hitting_probabilities():
     with ProcessPoolExecutor(max_workers=POOL_WORKERS) as pool:
         results = list(pool.map(_cz_job, jobs))
     ok = True
-    worst_err = worst_amb = worst_share = 0.0
+    worst_err = worst_z = worst_amb = worst_share = 0.0
     for res in results:
         ok = ok and res.passed
         worst_err = max(worst_err, res.max_abs_err)
+        worst_z = max(worst_z, *(abs(m - o) / s for m, o, s
+                                 in zip(res.mc, res.oracle, res.se)))
         worst_amb = max(worst_amb, res.ambiguous_frac)
         worst_share = max(worst_share, res.oracle_share)
         if not res.passed:
             print(f"  fail: k={res.kappa} a={res.alpha} z={res.z} "
                   f"mc={res.mc} oracle={res.oracle} amb={res.ambiguous_frac:.3f}")
     _report(8, ok, f"9 points, max |MC-oracle| {worst_err:.4f}, "
-                   f"max ambiguous {worst_amb:.4f}, max oracle share "
-                   f"{worst_share:.4f}, oracle residuals < 1e-8")
+                   f"max |MC-oracle|/se {worst_z:.2f}, max ambiguous "
+                   f"{worst_amb:.4f}, max oracle share {worst_share:.4f}, "
+                   f"oracle residuals < 1e-8")
 
 
 # -- 9: byte-identical reruns ------------------------------------------------------------

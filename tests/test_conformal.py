@@ -181,6 +181,18 @@ def test_batched_exit_probabilities_match_pointwise(kappa, alpha):
     np.testing.assert_array_equal(batch[12:], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
+def test_strip_error_names_the_count_and_first_bad_point():
+    # the message stays short for a large batch instead of echoing it
+    sm = sc_map_build(6.0, 0.0)
+    z = np.linspace(-3.0, 3.0, 1000) + 1.0j
+    z[617] = 0.25 + 4.0j
+    with pytest.raises(InputError, match="not in the closed strip") as err:
+        sm.exit_probabilities(z)
+    msg = str(err.value)
+    assert len(msg) < 200
+    assert msg.startswith("1 point(s)") and "(0.25+4j)" in msg
+
+
 def test_batched_oracle_raises_for_the_batch():
     sm = sc_map_build(6.0, 0.0)
     with pytest.raises(InputError, match="not in the closed strip"):

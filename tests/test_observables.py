@@ -11,6 +11,10 @@ from slitflow.errors import InputError
 from slitflow.flow import chordal_loewner, zero_driving
 from slitflow.gff import RectDomain, TestFn as Bump, patch_from_testfn
 from slitflow.observables import (
+    C_SING_STRIP,
+    FLAT_RE,
+    H_MAX,
+    _strip_step,
     cardy_zhan,
     chordal_vertex_log,
     dipolar_vertex_log,
@@ -58,6 +62,39 @@ def test_qv_check_smoke():
     res = qv_check(n_paths=150, T=0.15, dt=2e-4, seed=1)
     assert res.rel_error < 0.1
     assert res.e0 > res.e_terminal_mean > 0
+
+
+def test_strip_step_is_dt_where_the_drift_is_not_flat():
+    x = np.linspace(-FLAT_RE, FLAT_RE, 81)
+    for dt in (2e-4, 1e-3):
+        np.testing.assert_array_equal(_strip_step(x, np.full_like(x, 1.5), dt),
+                                      np.full_like(x, dt))
+
+
+def test_strip_step_is_clamped_near_the_pole():
+    theta = np.linspace(0.05, 3.0, 12)
+    for r in (1e-4, 1e-2, 0.1):
+        x, y = r * np.cos(theta), r * np.sin(theta)
+        np.testing.assert_array_equal(_strip_step(x, y, 2e-4),
+                                      C_SING_STRIP * (x * x + y * y))
+
+
+def test_strip_step_grows_by_e_per_unit_beyond_flat_re():
+    dt = 1e-4
+    x = np.array([0.5, 1.5, 2.5]) + FLAT_RE
+    for sign in (1.0, -1.0):
+        h = _strip_step(sign * x, np.full(3, 1.5), dt)
+        np.testing.assert_allclose(h, dt * np.exp(x - FLAT_RE), rtol=1e-13)
+        np.testing.assert_allclose(h[1:] / h[:-1], math.e, rtol=1e-13)
+
+
+def test_strip_step_is_capped_and_never_below_dt():
+    x = np.array([-15.0, 10.0, 15.0])
+    y = np.full(3, 1.5)
+    np.testing.assert_array_equal(_strip_step(x, y, 1e-3), np.full(3, H_MAX))
+    # a dt above H_MAX is kept away from the pole, not shortened to H_MAX
+    x = np.array([-15.0, 5.0, 15.0])
+    np.testing.assert_array_equal(_strip_step(x, y, 0.1), np.full(3, 0.1))
 
 
 def test_cardy_zhan_smoke():
