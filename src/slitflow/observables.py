@@ -194,16 +194,19 @@ def _strip_step(x, y, dt):
 
     h = min(C_SING_STRIP |Z|^2, max(dt, min(dt e^(|x| - FLAT_RE), H_MAX))):
     exactly dt for |x| <= FLAT_RE away from the pole, never below dt
-    elsewhere, and the near-pole clamp wherever that is smaller.  Takes
-    float arrays.
+    elsewhere, and the near-pole clamp wherever that is smaller.  Past the
+    escape line |x| > ESCAPE_RE the step is 0, so an escaped path stays
+    where it crossed until the next sweep stops it.  Takes float arrays.
     """
-    h = np.abs(x)
-    h -= FLAT_RE
+    ax = np.abs(x)
+    h = ax - FLAT_RE
     np.exp(h, out=h)
     h *= dt
     np.minimum(h, H_MAX, out=h)
     np.maximum(h, dt, out=h)
-    return np.minimum(h, C_SING_STRIP * (x * x + y * y), out=h)
+    np.minimum(h, C_SING_STRIP * (x * x + y * y), out=h)
+    h[ax > ESCAPE_RE] = 0.0
+    return h
 
 
 @dataclass
@@ -292,9 +295,8 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
         t += h
         step += 1
         if step % classify_every:
-            # stopped paths idle on near-zero steps until the next sweep:
-            # swallowed entries have h ~ |Z|^2, timed-out entries have h = 0,
-            # escaped ones keep a finite drift for at most a few steps
+            # stopped paths idle until the next sweep: swallowed entries
+            # have h ~ |Z|^2, timed-out and escaped entries have h = 0
             continue
         stop = ((x * x + y * y < EPS_SWALLOW * EPS_SWALLOW)
                 | (np.abs(x) > ESCAPE_RE) | (t >= t_max - 1e-12))

@@ -192,9 +192,7 @@ def test_scipy_is_imported_only_inside_stats_functions():
 def test_subcommands_without_ks_test_load_no_scipy(argv):
     # one fresh interpreter per subcommand: scipy loads only with the first
     # KS test, which these never run; the Schwarz-Christoffel map that
-    # sc-residual and cardy-zhan build is numpy alone.  Exit 1 is a failed
-    # statistical verdict of a command that ran through: one ambiguous stop
-    # in 20 paths fails cardy-zhan's gate, at about 45 % of seeds
-    code = f"from slitflow.cli import main\nassert main({argv!r}) in (0, 1)"
+    # sc-residual and cardy-zhan build is numpy alone
+    code = f"from slitflow.cli import main\nassert main({argv!r}) == 0"
     loaded = _loaded_after(code)
     assert not loaded, loaded

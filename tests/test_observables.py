@@ -12,6 +12,7 @@ from slitflow.flow import chordal_loewner, zero_driving
 from slitflow.gff import RectDomain, TestFn as Bump, patch_from_testfn
 from slitflow.observables import (
     C_SING_STRIP,
+    ESCAPE_RE,
     FLAT_RE,
     H_MAX,
     _strip_step,
@@ -95,6 +96,14 @@ def test_strip_step_is_capped_and_never_below_dt():
     # a dt above H_MAX is kept away from the pole, not shortened to H_MAX
     x = np.array([-15.0, 5.0, 15.0])
     np.testing.assert_array_equal(_strip_step(x, y, 0.1), np.full(3, 0.1))
+
+
+def test_strip_step_is_zero_past_the_escape_line():
+    # an escaped path waits for the next sweep where it crossed, instead of
+    # taking long steps that could bring it back inside unrecorded
+    x = np.array([-ESCAPE_RE - 1e-9, -ESCAPE_RE, ESCAPE_RE, ESCAPE_RE + 0.5])
+    h = _strip_step(x, np.full(4, 1.5), 1e-3)
+    np.testing.assert_array_equal(h, [0.0, H_MAX, H_MAX, 0.0])
 
 
 def test_cardy_zhan_smoke():
