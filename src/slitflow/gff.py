@@ -14,8 +14,8 @@ one sin and one cos per point and axis; the other rows follow from the
 recurrence sin((k+1) theta) = 2 cos(theta) sin(k theta) - sin((k-1) theta),
 whose error grows like k^2 times the float64 epsilon.  The tables are laid
 out (..., K, P), so each row is one in-place ufunc over every sample and
-point, and a field evaluation is one batched matmul against the
-coefficient box.
+point; a field evaluation is one matmul per sample.  The coupling runs it
+on blocks of samples, and its samples do not depend on the block size.
 """
 
 from __future__ import annotations

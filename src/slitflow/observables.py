@@ -32,6 +32,7 @@ C_SING_STRIP = 5e-3  # cardy_zhan near-pole clamp: h <= C_SING_STRIP |Z|^2
 FLAT_RE = 4.0  # cardy_zhan steps are dt for |Re Z| <= FLAT_RE, e-fold beyond
 H_MAX = 0.05  # cap on those longer steps; a dt above it is kept as it is
 VERTEX_TOL = 0.95  # a stop with no exit probability above this is ambiguous
+FIELD_BLOCK = 64  # run_coupling draws and evaluates the field in these blocks
 
 
 # -- vertex observables along flows -------------------------------------------
@@ -137,12 +138,14 @@ def martingale_suite(geometry: str, kappa: float, alpha: float,
 
 @dataclass
 class QvResult:
-    """Realized quadratic variation of (u_t, p) versus the energy decay."""
+    """Realized quadratic variation of (u_t, p) versus the energy decay;
+    ``diff_se`` is the se of the per-path d = QV - (E_0 - E_T)."""
 
     qv_mean: float
     qv_se: float
     e0: float
     e_terminal_mean: float
+    diff_se: float
 
     @property
     def target(self) -> float:
@@ -183,7 +186,8 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
     ])
     qv = state["qv"]
     se = float(qv.std(ddof=1) / math.sqrt(n_paths))
-    return QvResult(float(qv.mean()), se, e0, float(e_T.mean()))
+    d_se = float((qv - (e0 - e_T)).std(ddof=1) / math.sqrt(n_paths))
+    return QvResult(float(qv.mean()), se, e0, float(e_T.mean()), d_se)
 
 
 # -- hitting-probability experiment ---------------------------------------------
@@ -385,7 +389,12 @@ class CouplingResult:
 
 
 def _coupling_chunk(args):
-    """One independently seeded batch of joint flow/field samples."""
+    """One independently seeded batch of joint flow/field samples.
+
+    The field is drawn and evaluated FIELD_BLOCK samples at a time.  One
+    generator's consecutive draws equal one large draw and the evaluation
+    is per sample, so the samples do not depend on the block size.
+    """
     chunk_seed, m, T, dt, bump, alpha = args
     dom = RectDomain()
     basis = eigen_basis(dom)
@@ -397,11 +406,14 @@ def _coupling_chunk(args):
     flagged = int(np.count_nonzero(~res.alive.all(axis=1)))
     # at kappa = 4, mu = -2 bb = 0: u_T has no log w' term, value is all of it
     u_T = build_u(model).value(res.w) @ patch.weights
-    xi = np.random.default_rng(field_ss).standard_normal(
-        (m,) + basis.scale_box.shape
-    )
-    coeff = xi * basis.scale_box
-    field_part = basis.field_at_points(coeff, res.w) @ patch.weights
+    field_rng = np.random.default_rng(field_ss)
+    field_part = np.empty(m)
+    for s in range(0, m, FIELD_BLOCK):
+        b = min(FIELD_BLOCK, m - s)
+        coeff = field_rng.standard_normal((b,) + basis.scale_box.shape)
+        coeff *= basis.scale_box
+        field_part[s:s + b] = (
+            basis.field_at_points(coeff, res.w[s:s + b]) @ patch.weights)
     return field_part + u_T, flagged
 
 
@@ -420,6 +432,8 @@ def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
     """
     if n_samples < 2:
         raise InputError("run_coupling needs at least 2 samples")
+    if chunk < 1:
+        raise InputError(f"run_coupling needs a positive chunk size: {chunk}")
     dom = RectDomain()
     bump = bump or TestFn(1.5j, 0.3)
     basis = eigen_basis(dom)

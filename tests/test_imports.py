@@ -189,10 +189,19 @@ def test_scipy_is_imported_only_inside_stats_functions():
     ["cardy-zhan", "--seed", "1", "--n-paths", "20", "--dt", "2e-3",
      "--t-max", "20"],
 ])
-def test_subcommands_without_ks_test_load_no_scipy(argv):
+def test_subcommands_without_ks_test_load_no_scipy(argv, tmp_path):
     # one fresh interpreter per subcommand: scipy loads only with the first
     # KS test, which these never run; the Schwarz-Christoffel map that
-    # sc-residual and cardy-zhan build is numpy alone
-    code = f"from slitflow.cli import main\nassert main({argv!r}) == 0"
+    # sc-residual and cardy-zhan build is numpy alone.  cardy-zhan's verdict
+    # at 20 paths is a coin flip, so its exit code is checked against the
+    # CLI contract: 0 when every pass flag in its CSV holds, 1 otherwise
+    expect = "0"
+    if argv[0] == "cardy-zhan":
+        out = str(tmp_path / "cardy-zhan.csv")
+        argv = argv + ["--out", out]
+        expect = (f"(0 if all(r['passed'] == 'True' for r in csv.DictReader("
+                  f"line for line in open({out!r}) if line[0] != '#')) else 1)")
+    code = (f"import csv\nfrom slitflow.cli import main\n"
+            f"rc = main({argv!r})\nassert rc == {expect}, rc")
     loaded = _loaded_after(code)
     assert not loaded, loaded

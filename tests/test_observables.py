@@ -2,19 +2,28 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from slitflow.classify import build_u, enumerate_families
 from slitflow.errors import InputError
-from slitflow.flow import chordal_loewner, zero_driving
-from slitflow.gff import RectDomain, TestFn as Bump, patch_from_testfn
+from slitflow.flow import chordal_loewner, simulate_ensemble, zero_driving
+from slitflow.gff import (
+    RectDomain,
+    TestFn as Bump,
+    eigen_basis,
+    patch_from_testfn,
+)
 from slitflow.observables import (
     C_SING_STRIP,
     ESCAPE_RE,
+    FIELD_BLOCK,
     FLAT_RE,
     H_MAX,
+    _coupling_chunk,
+    _family_model,
     _strip_step,
     cardy_zhan,
     chordal_vertex_log,
@@ -184,3 +193,45 @@ def test_coupling_pool_is_sized_by_the_chunks(monkeypatch):
     serial = run_coupling(n_samples=1000, T=0.01, dt=1e-3, seed=2, chunk=500)
     assert requested == [2]
     assert pooled.samples.tobytes() == serial.samples.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_coupling_rejects_chunk_sizes_below_one(chunk):
+    with pytest.raises(InputError, match="positive chunk size"):
+        run_coupling(n_samples=100, T=0.01, dt=1e-3, seed=1, chunk=chunk)
+
+
+def test_coupling_chunk_blocks_match_one_shot_field():
+    # 130 samples cross two block boundaries (64 + 64 + 2); the reference is
+    # one draw, one scaling and one evaluation over the whole chunk, built
+    # from the same seeds as _coupling_chunk spawns them
+    m, T, dt, bump = 130, 0.02, 1e-3, Bump(1.5j, 0.3)
+    assert FIELD_BLOCK < m and m % FIELD_BLOCK
+    samples, flagged = _coupling_chunk(
+        (np.random.SeedSequence(42), m, T, dt, bump, 0.0))
+    dom = RectDomain()
+    basis = eigen_basis(dom)
+    patch = patch_from_testfn(dom, bump)
+    model = _family_model("chordal", 4.0, 0.0)
+    flow_ss, field_ss = np.random.SeedSequence(42).spawn(2)
+    res = simulate_ensemble(model, patch.centers, m, T, dt,
+                            np.random.default_rng(flow_ss))
+    xi = np.random.default_rng(field_ss).standard_normal(
+        (m,) + basis.scale_box.shape)
+    field = basis.field_at_points(xi * basis.scale_box, res.w) @ patch.weights
+    reference = field + build_u(model).value(res.w) @ patch.weights
+    assert samples.tobytes() == reference.tobytes()
+    assert flagged == 0
+
+
+def test_coupling_chunk_memory_is_bounded_by_the_block():
+    # the sine tables are held one block at a time: about 25 MB here, where
+    # every sample's tables at once would take 177 MB
+    tracemalloc.start()
+    try:
+        _coupling_chunk((np.random.SeedSequence(3), 500, 0.05, 1e-3,
+                         Bump(1.5j, 0.3), 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
