@@ -6,7 +6,10 @@ same equation run backward in time), and the vectorized
 Euler-Maruyama ensemble for the general flow SDE with derivative tracking
 through log w'.  The ensemble folds the Ito drifts of (w, log w')
 into one fixed Laurent polynomial each per model and steps the real and
-imaginary parts of the state in preallocated float arrays.
+imaginary parts of the state in place.  It is cache-blocked: steps run in
+blocks of STEP_BLOCK with one noise draw per block, and within a block
+tiles of paths whose buffers fit in TILE_BYTES take all the block's steps
+one tile after another; the output does not depend on either constant.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ eval_field_prime = fields.eval_field_prime
 EPS_SWALLOW = 1e-4
 R_MAX = 1e6
 C_SING = 0.1  # dt_eff = min(dt, C_SING * |distance to singularity|^2)
+STEP_BLOCK = 16  # simulate_ensemble steps between normal draws
+TILE_BYTES = 128 * 1024  # simulate_ensemble's bound on one tile float buffer
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -184,7 +189,7 @@ def _add_poly(terms, db, x, y, out_re, out_im, re, im, t1, t2) -> None:
     """Add sum_j (d_j + s_j dB) z^j at z = x + iy to (out_re, out_im).
 
     Horner in real arithmetic on preallocated buffers (re, im, t1, t2 are
-    scratch); dB is the (n_paths, 1) column of the step's increments, and
+    scratch); dB is the (rows, 1) column of the step's increments, and
     coefficients that vanish are skipped.
     """
     c = [d + s * db if s else (d or None) for d, s in terms]
@@ -209,6 +214,14 @@ def _add_poly(terms, db, x, y, out_re, out_im, re, im, t1, t2) -> None:
         out_re += c[0]
 
 
+def _read_only(arrays) -> tuple:
+    """Views of the arrays that cannot be written through."""
+    views = tuple(v.view() for v in arrays)
+    for v in views:
+        v.flags.writeable = False
+    return views
+
+
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
@@ -229,16 +242,32 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     once per call, and each step evaluates them by Horner on the real and
     imaginary parts of (w, log w') held in preallocated float arrays.
 
+    The loop is cache-blocked.  Steps run in blocks of STEP_BLOCK, and each
+    block's increments are one (m, n_paths) normal draw, the same numbers
+    in the same order as one (n_paths, 1) draw per step.  Within a block the
+    paths run in tiles, and each tile takes all the block's steps before the
+    next tile starts.  A tile holds the largest multiple of 8 rows (at least
+    8) whose float buffer fits in TILE_BYTES, so its scratch buffers stay in
+    cache; the last tile holds the rest.  The arithmetic is elementwise, so
+    the output does not depend on the tiling.  Tiles start at multiples of
+    8 rows because BLAS sums a row of a matrix-vector product in an order
+    that depends on the row's place in its group of rows, and a callback
+    that takes such a product per tile then gives the same bits as over
+    all paths.
+
     All seed points of one path share the Brownian increment.  A (path,
     point) entry freezes once it comes within the resolvable distance of the
     pole at the origin or leaves the upper half-plane; it then keeps its last
     state, which lies off the pole.  Freezing at a state-dependent time keeps
-    stopped functionals unbiased.  ``callback(i, t, x, y, lr, li, alive)``
-    runs before the first step and after every step when given, with
-    w = x + iy and log w' = lr + i li.  Its arrays are read-only views of the
-    live state buffers: the same objects on every call, overwritten by the
-    next step, so a caller copies what it keeps.  Seed points must lie in the
-    open upper half-plane (InputError otherwise).
+    stopped functionals unbiased.  ``callback(i, t, rows, x, y, lr, li,
+    alive)`` runs once before the first step with rows = slice(0, n_paths),
+    and after every step once per tile, with rows the tile's slice of the
+    paths and t = i dt; w = x + iy and log w' = lr + i li.  Its arrays are
+    read-only views of the live state of those rows, overwritten by the
+    next step, so a caller copies what it keeps.  The tiles of one step
+    cover every path once, but a tile's later steps may come before the
+    next tile's earlier ones.  Seed points must lie in the open upper
+    half-plane (InputError otherwise).
     """
     n_steps = _n_steps(T, dt)
     if not isinstance(rng, np.random.Generator):
@@ -258,49 +287,62 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     pts = np.asarray(points, dtype=complex).ravel()
     require_upper_half_plane(pts)
     shape = (n_paths, pts.size)
-    x = np.tile(pts.real, (n_paths, 1))
-    y = np.tile(pts.imag, (n_paths, 1))
-    lr, li = np.zeros(shape), np.zeros(shape)
-    xn, yn, lrn, lin, a, b, c, d = (np.empty(shape) for _ in range(8))
-    alive = np.ones(shape, dtype=bool)
+    # the state (x, y, lr, li, alive) over all paths
+    state = (np.tile(pts.real, (n_paths, 1)), np.tile(pts.imag, (n_paths, 1)),
+             np.zeros(shape), np.zeros(shape), np.ones(shape, dtype=bool))
+    rows = max(8, TILE_BYTES // (8 * max(pts.size, 1)) // 8 * 8)
+    scratch = [np.empty((min(rows, n_paths), pts.size)) for _ in range(8)]
+    # per tile: its rows, writable views of their state, read-only views of
+    # the same for the callback, and the scratch buffers cut to the tile
+    tiles = []
+    for r0 in range(0, n_paths, rows):
+        sl = slice(r0, min(r0 + rows, n_paths))
+        views = [v[sl] for v in state]
+        tiles.append((sl, views, _read_only(views),
+                      [v[:sl.stop - sl.start] for v in scratch]))
     freeze_r2 = max(EPS_SWALLOW, math.sqrt(dt / C_SING)) ** 2
-    live = tuple(v.view() for v in (x, y, lr, li, alive))
-    for v in live:
-        v.flags.writeable = False
     if callback is not None:
-        callback(0, 0.0, *live)
-    for i in range(n_steps):
-        db = rng.standard_normal((n_paths, 1)) * math.sqrt(dt)
-        # the poles: 2 dt/w = g conj(w) and -2 dt/w^2 = -h conj(w)^2, with
-        # g = 2 dt/|w|^2 in d and h = g/|w|^2 in c
-        np.multiply(x, x, out=a)
-        np.multiply(y, y, out=b)
-        np.add(a, b, out=c)
-        np.divide(2.0 * dt, c, out=d)
-        np.divide(d, c, out=c)
-        a -= b
-        np.multiply(c, a, out=lrn)
-        np.subtract(lr, lrn, out=lrn)
-        np.multiply(x, y, out=lin)
-        lin *= c
-        lin *= 2.0
-        lin += li
-        np.multiply(d, x, out=xn)
-        xn += x
-        np.multiply(d, y, out=yn)
-        np.subtract(y, yn, out=yn)
-        _add_poly(w_terms, db, x, y, xn, yn, a, b, c, d)
-        _add_poly(l_terms, db, x, y, lrn, lin, a, b, c, d)
-        np.multiply(xn, xn, out=a)
-        np.multiply(yn, yn, out=b)
-        a += b
-        alive &= ~((yn <= 0.0) | (a < freeze_r2))
-        if np.max(a, where=alive, initial=0.0) > R_MAX * R_MAX:
-            raise NumericalError("ensemble trajectory left the safe radius")
-        np.copyto(x, xn, where=alive)
-        np.copyto(y, yn, where=alive)
-        np.copyto(lr, lrn, where=alive)
-        np.copyto(li, lin, where=alive)
-        if callback is not None:
-            callback(i + 1, (i + 1) * dt, *live)
+        callback(0, 0.0, slice(0, n_paths), *_read_only(state))
+    for i0 in range(0, n_steps, STEP_BLOCK):
+        dbs = rng.standard_normal((min(STEP_BLOCK, n_steps - i0), n_paths))
+        dbs *= math.sqrt(dt)
+        for sl, (x, y, lr, li, alive), live, scr in tiles:
+            xn, yn, lrn, lin, a, b, c, d = scr
+            for j, db_all in enumerate(dbs):
+                db = db_all[sl, None]
+                # the poles: 2 dt/w = g conj(w) and -2 dt/w^2 = -h conj(w)^2,
+                # with g = 2 dt/|w|^2 in d and h = g/|w|^2 in c
+                np.multiply(x, x, out=a)
+                np.multiply(y, y, out=b)
+                np.add(a, b, out=c)
+                np.divide(2.0 * dt, c, out=d)
+                np.divide(d, c, out=c)
+                a -= b
+                np.multiply(c, a, out=lrn)
+                np.subtract(lr, lrn, out=lrn)
+                np.multiply(x, y, out=lin)
+                lin *= c
+                lin *= 2.0
+                lin += li
+                np.multiply(d, x, out=xn)
+                xn += x
+                np.multiply(d, y, out=yn)
+                np.subtract(y, yn, out=yn)
+                _add_poly(w_terms, db, x, y, xn, yn, a, b, c, d)
+                _add_poly(l_terms, db, x, y, lrn, lin, a, b, c, d)
+                np.multiply(xn, xn, out=a)
+                np.multiply(yn, yn, out=b)
+                a += b
+                alive &= ~((yn <= 0.0) | (a < freeze_r2))
+                if np.max(a, where=alive, initial=0.0) > R_MAX * R_MAX:
+                    raise NumericalError(
+                        "ensemble trajectory left the safe radius")
+                np.copyto(x, xn, where=alive)
+                np.copyto(y, yn, where=alive)
+                np.copyto(lr, lrn, where=alive)
+                np.copyto(li, lin, where=alive)
+                if callback is not None:
+                    i = i0 + j + 1
+                    callback(i, i * dt, sl, *live)
+    x, y, lr, li, alive = state
     return EnsembleResult(pts, _complex(x, y), _complex(lr, li), alive)

@@ -9,7 +9,7 @@ hitting-probability experiment, and the flow/field coupling ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -155,6 +155,16 @@ class QvResult:
     def rel_error(self) -> float:
         return abs(self.qv_mean - self.target) / abs(self.target)
 
+    @property
+    def z(self) -> float:
+        """Mean of d in units of its se."""
+        return (self.qv_mean - self.target) / self.diff_se
+
+    @property
+    def passed(self) -> bool:
+        """The 10 % band and the paired differences within 3 se of 0."""
+        return self.rel_error < 0.1 and abs(self.z) < 3.0
+
 
 def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
              seed: int = 0, bump: Optional[TestFn] = None,
@@ -164,27 +174,28 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
     Chordal flow with zero drift; u = 2a arg w has no rotation term at
     kappa=4, and the terminal energy uses the pulled-back Green's function
     on the same support quadrature so discretization bias cancels in the
-    difference.
+    difference.  The standard errors need at least two paths.
     """
+    if n_paths < 2:
+        raise InputError("qv_check needs at least 2 paths")
     bump = bump or TestFn(2.0j, 0.3)
     patch = patch_from_testfn(RectDomain(), bump)
     model = _family_model("chordal", kappa, 0.0)
     two_a = 2.0 * model.a
     wgt = patch.weights
-    state = {"prev": None, "qv": np.zeros(n_paths)}
+    prev, qv = np.empty(n_paths), np.zeros(n_paths)
 
-    def callback(i, t, x, y, lr, li, alive):
+    def callback(i, t, rows, x, y, lr, li, alive):
         paired = two_a * np.arctan2(y, x) @ wgt
-        if state["prev"] is not None:
-            state["qv"] += (paired - state["prev"]) ** 2
-        state["prev"] = paired
+        if i:
+            qv[rows] += (paired - prev[rows]) ** 2
+        prev[rows] = paired
 
     res = simulate_ensemble(model, patch.centers, n_paths, T, dt, seed, callback)
     e0 = energy_from_map(patch, patch.centers, np.zeros_like(patch.centers))
     e_T = np.array([
         energy_from_map(patch, res.w[i], res.log_wp[i]) for i in range(n_paths)
     ])
-    qv = state["qv"]
     se = float(qv.std(ddof=1) / math.sqrt(n_paths))
     d_se = float((qv - (e0 - e_T)).std(ddof=1) / math.sqrt(n_paths))
     return QvResult(float(qv.mean()), se, e0, float(e_T.mean()), d_se)
@@ -362,13 +373,16 @@ def bpz_sc_residual(kappa: float, alpha: float, z: complex) -> dict:
 
 @dataclass
 class CouplingResult:
-    """Ensemble statistics of the shifted-field pairing under the flow."""
+    """Ensemble statistics of the shifted-field pairing under the flow, and
+    the law's three gates: mean within 3 se of its target, variance within
+    5 % of its target, and the KS test at the 1 % level."""
 
     samples: np.ndarray
     mean_target: float
     var_target: float
     flagged: int
     n: int
+    _ks: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def mean(self) -> float:
@@ -383,9 +397,28 @@ class CouplingResult:
         return float(self.samples.var(ddof=1))
 
     def ks(self):
-        return ks_normality(
-            self.samples, self.mean, math.sqrt(self.variance)
-        )
+        """(statistic, 1 % critical value), computed on the first call."""
+        if self._ks is None:
+            self._ks = ks_normality(
+                self.samples, self.mean, math.sqrt(self.variance))
+        return self._ks
+
+    @property
+    def mean_pass(self) -> bool:
+        return abs(self.mean - self.mean_target) < 3.0 * self.se
+
+    @property
+    def var_pass(self) -> bool:
+        return abs(self.variance - self.var_target) < 0.05 * self.var_target
+
+    @property
+    def ks_pass(self) -> bool:
+        ks_stat, ks_crit = self.ks()
+        return ks_stat < ks_crit
+
+    @property
+    def passed(self) -> bool:
+        return self.mean_pass and self.var_pass and self.ks_pass
 
 
 def _coupling_chunk(args):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from slitflow import flow
 from slitflow.classify import enumerate_families
 from slitflow.errors import InputError, NumericalError
 from slitflow.fields import eval_field, eval_field_prime
@@ -16,7 +17,7 @@ from slitflow.flow import (
     simulate_ensemble,
     zero_driving,
 )
-from slitflow.observables import MARTINGALE_POINTS, _family_model
+from slitflow.observables import MARTINGALE_POINTS, _family_model, qv_check
 
 
 def _chordal_model(kappa=4.0, alpha=0.0):
@@ -152,7 +153,9 @@ def test_ensemble_freezes_near_singularity():
     pts = np.array([0.02 + 0.05j, 1.0j])
     seen = []
 
-    def cb(i, t, x, y, lr, li, alive):
+    def cb(i, t, rows, x, y, lr, li, alive):
+        # 64 paths of 2 points fit in one tile: every call sees all rows
+        assert rows == slice(0, 64)
         seen.append((x + 1j * y, lr + 1j * li, alive.copy()))
 
     res = simulate_ensemble(model, pts, 64, 0.05, 1e-3, 7, cb)
@@ -194,22 +197,91 @@ def test_ensemble_step_matches_ito_formula(geometry, kappa, alpha):
     np.testing.assert_allclose(res.log_wp, log_wp, rtol=1e-12)
 
 
-def test_ensemble_callback_order_and_times():
+def test_ensemble_callback_order_and_times(monkeypatch):
+    # 8-row tiles over 20 paths (8 + 8 + 4) and 11 steps in blocks of 4
+    # (4 + 4 + 3): within a block each tile takes all its steps in turn
+    monkeypatch.setattr(flow, "TILE_BYTES", 64)
+    monkeypatch.setattr(flow, "STEP_BLOCK", 4)
     model = _chordal_model(4.0, 0.0)
+    n_paths, dt = 20, 1e-3
     seen = []
-    buffers = []
 
-    def cb(i, t, x, y, lr, li, alive):
-        seen.append((i, t))
-        buffers.append((x, y, lr, li, alive))
+    def cb(i, t, rows, x, y, lr, li, alive):
+        seen.append((i, t, rows))
+        n = rows.stop - rows.start
+        assert all(v.shape == (n, 1) for v in (x, y, lr, li, alive))
+        assert not any(v.flags.writeable for v in (x, y, lr, li, alive))
 
-    simulate_ensemble(model, np.array([1j]), 4, 0.01, 1e-3, 5, cb)
-    assert seen[0] == (0, 0.0)
-    assert len(seen) == 11
-    assert seen[-1][1] == pytest.approx(0.01)
-    # the live state buffers are handed over read-only, not per-step copies
-    assert all(a is b for bufs in buffers for a, b in zip(bufs, buffers[0]))
-    assert not any(a.flags.writeable for a in buffers[0])
+    simulate_ensemble(model, np.array([1j]), n_paths, 0.011, dt, 5, cb)
+    assert seen[0] == (0, 0.0, slice(0, n_paths))
+    tiles = [slice(0, 8), slice(8, 16), slice(16, 20)]
+    expected = [
+        (i, i * dt, rows)
+        for block in ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11))
+        for rows in tiles for i in block
+    ]
+    assert seen[1:] == expected
+    assert seen[-1][1] == pytest.approx(0.011)
+    # every step's tiles cover each path exactly once
+    for i in range(1, 12):
+        hits = np.zeros(n_paths, dtype=int)
+        for _, _, rows in (c for c in seen if c[0] == i):
+            hits[rows] += 1
+        assert (hits == 1).all()
+
+
+@pytest.mark.parametrize("n_points, rows", [(1, 16384), (5, 3272), (148, 104)])
+def test_ensemble_tile_rows_are_multiples_of_eight(n_points, rows):
+    pts = 1j + 0.01 * np.arange(n_points)
+    seen = set()
+
+    def cb(i, t, sl, *state):
+        if i:
+            seen.add(sl.stop - sl.start)
+
+    simulate_ensemble(_chordal_model(), pts, rows + 3, 1e-3, 1e-3, 0, cb)
+    assert seen == {rows, 3}
+    assert rows % 8 == 0
+    assert rows * n_points * 8 <= flow.TILE_BYTES < (rows + 8) * n_points * 8
+
+
+def test_ensemble_without_points_is_empty():
+    res = simulate_ensemble(_chordal_model(), [], 4, 0.01, 1e-3, 0)
+    assert res.w.shape == res.log_wp.shape == res.alive.shape == (4, 0)
+
+
+@pytest.mark.parametrize("geometry, kappa, alpha",
+                         [("chordal", 6.0, 0.0), ("dipolar", 6.0, 0.3)])
+def test_ensemble_output_does_not_depend_on_tiling(monkeypatch, geometry,
+                                                   kappa, alpha):
+    # 37 paths and 23 steps: ragged last tiles (37 = 4 * 8 + 5 rows,
+    # 24 + 13 and 2 * 16 + 5) and ragged last step blocks; some entries
+    # freeze
+    model = _family_model(geometry, kappa, alpha)
+    pts = np.concatenate([np.asarray(MARTINGALE_POINTS), [0.05 + 0.08j]])
+    runs = []
+    for tile_bytes, step_block in ((1 << 20, 16), (8 * 6 * 8, 5),
+                                   (24 * 6 * 8, 1), (16 * 6 * 8, 64)):
+        monkeypatch.setattr(flow, "TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(flow, "STEP_BLOCK", step_block)
+        runs.append(simulate_ensemble(model, pts, 37, 0.023, 1e-3, 11))
+    assert not runs[0].alive.all()
+    for res in runs[1:]:
+        for name in ("w", "log_wp", "alive"):
+            assert getattr(res, name).tobytes() == getattr(runs[0], name).tobytes()
+
+
+def test_qv_check_does_not_depend_on_tiling(monkeypatch):
+    # 45 paths of 148 points: one tile, then 8-row tiles (5 x 8 + 5), then
+    # 16-row tiles (2 x 16 + 13), with blocks of 16, 3 and 7 steps
+    runs = []
+    for tile_bytes, step_block in ((1 << 20, 16), (8 * 148 * 8, 3),
+                                   (23 * 148 * 8, 7)):
+        monkeypatch.setattr(flow, "TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(flow, "STEP_BLOCK", step_block)
+        runs.append(dataclasses.astuple(
+            qv_check(n_paths=45, T=0.01, dt=5e-4, seed=4)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_ensemble_matches_scalar_integrator_statistics():

@@ -1,6 +1,7 @@
 """Vertex observables along flows and the stochastic checks."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -19,9 +20,11 @@ from slitflow.gff import (
 from slitflow.observables import (
     C_SING_STRIP,
     ESCAPE_RE,
+    CouplingResult,
     FIELD_BLOCK,
     FLAT_RE,
     H_MAX,
+    QvResult,
     _coupling_chunk,
     _family_model,
     _strip_step,
@@ -70,8 +73,36 @@ def test_u_process_zero_noise_is_constant_at_kappa4():
 
 def test_qv_check_smoke():
     res = qv_check(n_paths=150, T=0.15, dt=2e-4, seed=1)
-    assert res.rel_error < 0.1
+    assert res.rel_error < 0.1 and res.passed
     assert res.e0 > res.e_terminal_mean > 0
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_qv_check_needs_two_paths(n_paths):
+    # one path has no sample standard deviation
+    with pytest.raises(InputError, match="at least 2 paths"):
+        qv_check(n_paths=n_paths, T=0.01, dt=1e-3, seed=1)
+
+
+def test_result_verdicts_are_their_gates():
+    qv = QvResult(qv_mean=1.05, qv_se=0.01, e0=2.0, e_terminal_mean=1.0,
+                  diff_se=0.02)
+    assert qv.rel_error == pytest.approx(0.05)
+    assert qv.z == pytest.approx(2.5) and qv.passed
+    assert not dataclasses.replace(qv, diff_se=0.01).passed  # z = 5
+    assert not dataclasses.replace(qv, qv_mean=1.15, diff_se=1.0).passed
+    samples = np.random.default_rng(0).standard_normal(400)
+    res = CouplingResult(samples, 0.0, 1.0, 0, samples.size)
+    assert res.mean_pass and res.var_pass and res.ks_pass and res.passed
+    assert res.ks() is res.ks()
+    off = CouplingResult(samples, 1.0, 1.0, 0, samples.size)
+    assert not off.mean_pass and not off.passed
+    wide = CouplingResult(samples, 0.0, 2.0, 0, samples.size)
+    assert not wide.var_pass and not wide.passed
+    skew = CouplingResult(np.exp(samples), float(np.exp(samples).mean()),
+                          float(np.exp(samples).var(ddof=1)), 0, samples.size)
+    assert skew.mean_pass and skew.var_pass
+    assert not skew.ks_pass and not skew.passed
 
 
 def test_strip_step_is_dt_where_the_drift_is_not_flat():
