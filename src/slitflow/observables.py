@@ -204,23 +204,38 @@ def qv_check(n_paths: int = 2000, T: float = 0.2, dt: float = 1e-4,
 # -- hitting-probability experiment ---------------------------------------------
 
 
-def _strip_step(x, y, dt):
+# cardy_zhan's steps are dispatch-bound, so they call ufuncs bound to names
+# here and pass constants as 0-d arrays: an array operand takes numpy's fast
+# path, where a Python float costs half as much again per call
+_FLAT_RE, _H_MAX, _C_SING_STRIP, _ESCAPE_RE = (
+    np.array(c) for c in (FLAT_RE, H_MAX, C_SING_STRIP, ESCAPE_RE))
+_mul, _add, _sub, _div = np.multiply, np.add, np.subtract, np.divide
+_min, _max, _abs, _exp = np.minimum, np.maximum, np.absolute, np.exp
+_sinh, _sin, _sqrt = np.sinh, np.sin, np.sqrt
+
+
+def _strip_step(x, y, dt, h, tmp, inside):
     """cardy_zhan's Euler-Maruyama step at the strip points x + iy.
 
     h = min(C_SING_STRIP |Z|^2, max(dt, min(dt e^(|x| - FLAT_RE), H_MAX))):
     exactly dt for |x| <= FLAT_RE away from the pole, never below dt
     elsewhere, and the near-pole clamp wherever that is smaller.  Past the
     escape line |x| > ESCAPE_RE the step is 0, so an escaped path stays
-    where it crossed until the next sweep stops it.  Takes float arrays.
+    where it crossed until the next sweep stops it.  Takes float arrays;
+    writes h into the float buffer ``h`` and uses the float buffer ``tmp``
+    and the bool buffer ``inside``, all of x's size, as scratch.
     """
-    ax = np.abs(x)
-    h = ax - FLAT_RE
-    np.exp(h, out=h)
-    h *= dt
-    np.minimum(h, H_MAX, out=h)
-    np.maximum(h, dt, out=h)
-    np.minimum(h, C_SING_STRIP * (x * x + y * y), out=h)
-    h[ax > ESCAPE_RE] = 0.0
+    _mul(x, x, out=tmp)
+    _add(tmp, _mul(y, y, out=h), out=tmp)
+    _mul(tmp, _C_SING_STRIP, out=tmp)
+    np.less_equal(_abs(x, out=h), _ESCAPE_RE, out=inside)
+    _exp(_sub(h, _FLAT_RE, out=h), out=h)
+    _mul(h, dt, out=h)
+    _min(h, _H_MAX, out=h)
+    _max(h, dt, out=h)
+    _min(h, tmp, out=h)
+    # h is finite and >= 0, so the factor is exact: h * 1 = h, h * 0 = +0
+    _mul(h, inside, out=h)
     return h
 
 
@@ -271,54 +286,84 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     bounded martingale of the flow, so crediting every path with its oracle
     barycentrics at its stop point is unbiased (optional stopping); a stop
     whose largest barycentric is at most VERTEX_TOL counts as ambiguous.
+
+    Once few paths are live the loop is dispatch-bound: numpy's per-call
+    overhead, not arithmetic, sets the cost of a step.  So each step writes
+    every ufunc result into scratch buffers made when the live set is
+    compacted, passes every constant as a 0-d array, and clamps the step
+    to t_max only in the sweeps that can reach it.
     """
     if kappa <= 4:
         raise InputError("swallowing needs kappa > 4")
     z = complex(z)
     if not (math.isfinite(z.real) and 0.0 < z.imag < math.pi):
         raise InputError("seed point must be inside the strip")
+    if n_paths < 1:
+        raise InputError(f"cardy_zhan needs at least 1 path: {n_paths}")
+    if not 0.0 < dt < math.inf:
+        raise InputError(f"cardy_zhan needs a positive finite dt: {dt}")
+    if not 0.0 < t_max < math.inf:
+        raise InputError(f"cardy_zhan needs a positive finite t_max: {t_max}")
     sm = sc_map_build(kappa, alpha)
     oracle = tuple(float(p) for p in sm.exit_probabilities(z))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sqk = math.sqrt(kappa)
+    dt_, alpha_, sqk, t_max_, t_end, eps2, zero, half, two = (
+        np.array(c) for c in (dt, alpha, math.sqrt(kappa), t_max, t_max - 1e-12,
+                              EPS_SWALLOW * EPS_SWALLOW, 0.0, 0.5, 2.0))
+
+    def scratch(m):
+        h, a, b = np.empty((3, m))
+        mask, stop = np.empty((2, m), bool)
+        return h, a, b, mask, stop
 
     # the driving noise is real, so the state splits into a noisy real part
     # and a noiseless imaginary part; real arrays halve the arithmetic cost
     x = np.full(n_paths, z.real)
     y = np.full(n_paths, z.imag)
     t = np.zeros(n_paths)
+    h, a, b, mask, stop = scratch(n_paths)
     stops = []
     classify_every = 8
-    step = 0
+    # a step is at most max(dt, H_MAX) and t rounds by at most ulp(t_max)
+    # per step, so a sweep that starts this far below t_max cannot reach it
+    # and its clamp would be a no-op
+    margin = 2 * classify_every * max(dt, H_MAX, math.ulp(t_max))
     while x.size:
-        row = step % classify_every
-        if not row:
-            # one draw per sweep consumes the generator in the same order as
-            # one draw per step, since the live set changes only at sweeps
-            noise = rng.standard_normal((classify_every, x.size))
-        h = _strip_step(x, y, dt)
-        # the time-horizon clamp can round a hair negative once t ~ t_max
-        np.minimum(h, np.maximum(t_max - t, 0.0), out=h)
-        # cancellation-free form of cosh(x) - cos(y); the naive difference
-        # rounds to exactly zero once |Z| drops below ~1e-8
-        shx = np.sinh(0.5 * x)
-        sny = np.sin(0.5 * y)
-        den = 2.0 * (shx * shx + sny * sny)
-        x += (np.sinh(x) / den - alpha) * h
-        x -= (sqk * np.sqrt(h)) * noise[row]
-        y -= (np.sin(y) / den) * h
-        t += h
-        step += 1
-        if step % classify_every:
-            # stopped paths idle until the next sweep: swallowed entries
-            # have h ~ |Z|^2, timed-out and escaped entries have h = 0
-            continue
-        stop = ((x * x + y * y < EPS_SWALLOW * EPS_SWALLOW)
-                | (np.abs(x) > ESCAPE_RE) | (t >= t_max - 1e-12))
+        # one draw per sweep consumes the generator in the same order as
+        # one draw per step, since the live set changes only at sweeps
+        noise = rng.standard_normal((classify_every, x.size))
+        near_end = t.max() + margin >= t_max
+        for xi in noise:
+            _strip_step(x, y, dt_, h, a, mask)
+            if near_end:
+                # the time-horizon clamp can round a hair negative once t ~ t_max
+                _max(_sub(t_max_, t, out=a), zero, out=a)
+                _min(h, a, out=h)
+            # cancellation-free form of cosh(x) - cos(y); the naive difference
+            # rounds to exactly zero once |Z| drops below ~1e-8
+            _sinh(_mul(x, half, out=a), out=a)
+            _mul(a, a, out=a)
+            _sin(_mul(y, half, out=b), out=b)
+            _mul(b, b, out=b)
+            _mul(_add(a, b, out=a), two, out=a)  # a = den
+            # x += (sinh(x) / den - alpha) h - (sqrt(kappa) sqrt(h)) xi
+            _sub(_div(_sinh(x, out=b), a, out=b), alpha_, out=b)
+            _add(x, _mul(b, h, out=b), out=x)
+            _mul(_mul(_sqrt(h, out=b), sqk, out=b), xi, out=b)
+            _sub(x, b, out=x)
+            # y -= (sin(y) / den) h
+            _sub(y, _mul(_div(_sin(y, out=b), a, out=b), h, out=b), out=y)
+            _add(t, h, out=t)
+        # stopped paths idle until the next sweep: swallowed entries have
+        # h ~ |Z|^2, timed-out and escaped entries have h = 0
+        np.less(_add(_mul(x, x, out=a), _mul(y, y, out=b), out=a), eps2, out=stop)
+        np.logical_or(stop, np.greater(_abs(x, out=a), _ESCAPE_RE, out=mask), out=stop)
+        np.logical_or(stop, np.greater_equal(t, t_end, out=mask), out=stop)
         if stop.any():
             stops.append(x[stop] + 1j * y[stop])
             keep = ~stop
             x, y, t = x[keep], y[keep], t[keep]
+            h, a, b, mask, stop = scratch(x.size)
 
     bary = sm.exit_probabilities(np.concatenate(stops))
     top = bary.max(axis=1)

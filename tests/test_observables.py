@@ -7,10 +7,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slitflow.classify import build_u, enumerate_families
+from slitflow.conformal import sc_map_build
 from slitflow.errors import InputError
-from slitflow.flow import chordal_loewner, simulate_ensemble, zero_driving
+from slitflow.flow import (
+    EPS_SWALLOW,
+    chordal_loewner,
+    simulate_ensemble,
+    zero_driving,
+)
 from slitflow.gff import (
     RectDomain,
     TestFn as Bump,
@@ -25,6 +32,7 @@ from slitflow.observables import (
     FLAT_RE,
     H_MAX,
     QvResult,
+    VERTEX_TOL,
     _coupling_chunk,
     _family_model,
     _strip_step,
@@ -105,10 +113,16 @@ def test_result_verdicts_are_their_gates():
     assert not skew.ks_pass and not skew.passed
 
 
+def strip_step(x, y, dt):
+    """_strip_step into fresh buffers."""
+    h, tmp = np.empty((2, x.size))
+    return _strip_step(x, y, dt, h, tmp, np.empty(x.size, bool))
+
+
 def test_strip_step_is_dt_where_the_drift_is_not_flat():
     x = np.linspace(-FLAT_RE, FLAT_RE, 81)
     for dt in (2e-4, 1e-3):
-        np.testing.assert_array_equal(_strip_step(x, np.full_like(x, 1.5), dt),
+        np.testing.assert_array_equal(strip_step(x, np.full_like(x, 1.5), dt),
                                       np.full_like(x, dt))
 
 
@@ -116,7 +130,7 @@ def test_strip_step_is_clamped_near_the_pole():
     theta = np.linspace(0.05, 3.0, 12)
     for r in (1e-4, 1e-2, 0.1):
         x, y = r * np.cos(theta), r * np.sin(theta)
-        np.testing.assert_array_equal(_strip_step(x, y, 2e-4),
+        np.testing.assert_array_equal(strip_step(x, y, 2e-4),
                                       C_SING_STRIP * (x * x + y * y))
 
 
@@ -124,7 +138,7 @@ def test_strip_step_grows_by_e_per_unit_beyond_flat_re():
     dt = 1e-4
     x = np.array([0.5, 1.5, 2.5]) + FLAT_RE
     for sign in (1.0, -1.0):
-        h = _strip_step(sign * x, np.full(3, 1.5), dt)
+        h = strip_step(sign * x, np.full(3, 1.5), dt)
         np.testing.assert_allclose(h, dt * np.exp(x - FLAT_RE), rtol=1e-13)
         np.testing.assert_allclose(h[1:] / h[:-1], math.e, rtol=1e-13)
 
@@ -132,18 +146,114 @@ def test_strip_step_grows_by_e_per_unit_beyond_flat_re():
 def test_strip_step_is_capped_and_never_below_dt():
     x = np.array([-15.0, 10.0, 15.0])
     y = np.full(3, 1.5)
-    np.testing.assert_array_equal(_strip_step(x, y, 1e-3), np.full(3, H_MAX))
+    np.testing.assert_array_equal(strip_step(x, y, 1e-3), np.full(3, H_MAX))
     # a dt above H_MAX is kept away from the pole, not shortened to H_MAX
     x = np.array([-15.0, 5.0, 15.0])
-    np.testing.assert_array_equal(_strip_step(x, y, 0.1), np.full(3, 0.1))
+    np.testing.assert_array_equal(strip_step(x, y, 0.1), np.full(3, 0.1))
 
 
 def test_strip_step_is_zero_past_the_escape_line():
     # an escaped path waits for the next sweep where it crossed, instead of
     # taking long steps that could bring it back inside unrecorded
     x = np.array([-ESCAPE_RE - 1e-9, -ESCAPE_RE, ESCAPE_RE, ESCAPE_RE + 0.5])
-    h = _strip_step(x, np.full(4, 1.5), 1e-3)
+    h = strip_step(x, np.full(4, 1.5), 1e-3)
     np.testing.assert_array_equal(h, [0.0, H_MAX, H_MAX, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pts=st.lists(
+        st.tuples(
+            st.one_of(st.floats(-30.0, 30.0), st.floats(-1e-3, 1e-3),
+                      st.sampled_from([-ESCAPE_RE, ESCAPE_RE, FLAT_RE])),
+            st.one_of(st.floats(1e-12, math.pi - 1e-12),
+                      st.floats(1e-12, 1e-3)),
+        ),
+        min_size=1, max_size=40,
+    ),
+    dt=st.floats(1e-6, 0.2),
+)
+def test_strip_step_into_buffers_is_the_closed_rule(pts, dt):
+    x, y = np.array(pts).T.copy()
+    closed = np.minimum(C_SING_STRIP * (x * x + y * y),
+                        np.maximum(dt, np.minimum(dt * np.exp(np.abs(x) - FLAT_RE),
+                                                  H_MAX)))
+    closed[np.abs(x) > ESCAPE_RE] = 0.0
+    # stale buffer contents must not leak into the step
+    h, tmp = np.full((2, x.size), np.nan)
+    inside = np.zeros(x.size, bool)
+    got = _strip_step(x, y, np.array(dt), h, tmp, inside)
+    assert got is h
+    assert h.tobytes() == closed.tobytes()
+    # a Python-float dt gives the same bits as the 0-d array
+    assert strip_step(x, y, dt).tobytes() == closed.tobytes()
+
+
+def _cardy_zhan_reference(kappa, alpha, z, n_paths, t_max, dt, seed):
+    """The step loop as first written: fresh arrays and Python-float
+    constants on every step, the horizon clamp on every step."""
+    sm = sc_map_build(kappa, alpha)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x, y, t = np.full(n_paths, z.real), np.full(n_paths, z.imag), np.zeros(n_paths)
+    stops, step = [], 0
+    while x.size:
+        if not step % 8:
+            noise = rng.standard_normal((8, x.size))
+        ax = np.abs(x)
+        h = np.minimum(np.maximum(np.minimum(np.exp(ax - FLAT_RE) * dt, H_MAX), dt),
+                       C_SING_STRIP * (x * x + y * y))
+        h[ax > ESCAPE_RE] = 0.0
+        np.minimum(h, np.maximum(t_max - t, 0.0), out=h)
+        shx, sny = np.sinh(0.5 * x), np.sin(0.5 * y)
+        den = 2.0 * (shx * shx + sny * sny)
+        x += (np.sinh(x) / den - alpha) * h
+        x -= (math.sqrt(kappa) * np.sqrt(h)) * noise[step % 8]
+        y -= (np.sin(y) / den) * h
+        t += h
+        step += 1
+        if step % 8:
+            continue
+        stop = ((x * x + y * y < EPS_SWALLOW * EPS_SWALLOW)
+                | (np.abs(x) > ESCAPE_RE) | (t >= t_max - 1e-12))
+        if stop.any():
+            stops.append(x[stop] + 1j * y[stop])
+            x, y, t = x[~stop], y[~stop], t[~stop]
+    bary = sm.exit_probabilities(np.concatenate(stops))
+    top = bary.max(axis=1)
+    return (tuple(float(p) for p in bary.mean(axis=0)),
+            float(np.mean(top <= VERTEX_TOL)), float(np.mean(1.0 - top)))
+
+
+@pytest.mark.parametrize("kappa, alpha, z, t_max, dt", [
+    (6.0, 0.0, 0.5 + 0.8j, 30.0, 1e-3),
+    (6.0, 0.3, -0.3 + 1.5708j, 30.0, 1e-3),
+    (8.0, 0.0, 1.0 + 2.2j, 30.0, 1e-3),
+    (8.0, -0.2, 1.0 + 2.2j, 30.0, 1e-3),
+    # every path starts past the escape line
+    (6.0, 0.0, 25.0 + 1.5j, 30.0, 1e-3),
+    # horizons that are not a multiple of dt: every sweep clamps, or the
+    # first sweeps do not and the last ones do
+    (6.0, 0.0, 0.5 + 0.8j, 0.3337, 1e-3),
+    (8.0, 0.2, 1.0 + 2.2j, 2.0037, 1e-3),
+    # dt above H_MAX
+    (6.0, 0.3, 0.5 + 0.8j, 30.0, 0.1),
+])
+def test_cardy_zhan_equals_the_reference_loop(kappa, alpha, z, t_max, dt):
+    res = cardy_zhan(kappa, alpha, z, n_paths=200, t_max=t_max, dt=dt, seed=7)
+    ref = _cardy_zhan_reference(kappa, alpha, z, 200, t_max, dt, seed=7)
+    assert (res.mc, res.ambiguous_frac, res.oracle_share) == ref
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(dt=0.0), "dt"), (dict(dt=-1e-3), "dt"), (dict(dt=math.nan), "dt"),
+    (dict(dt=math.inf), "dt"), (dict(n_paths=0), "path"),
+    (dict(n_paths=-3), "path"), (dict(t_max=0.0), "t_max"),
+    (dict(t_max=-1.0), "t_max"), (dict(t_max=math.nan), "t_max"),
+])
+def test_cardy_zhan_rejects_bad_sizes(bad, match):
+    args = dict(n_paths=10, t_max=1.0, dt=1e-3, seed=1) | bad
+    with pytest.raises(InputError, match=match):
+        cardy_zhan(6.0, 0.0, 0.5 + 0.8j, **args)
 
 
 def test_cardy_zhan_smoke():
