@@ -143,7 +143,8 @@ class FamilySpec:
 
         An alpha-family (drift) reads alpha and ignores B; a beta-family
         reads B = beta*sqrt(kappa) and ignores alpha.  A float parameter
-        enters as the binary fraction it stores.
+        enters as the binary fraction it stores.  A coefficient too large
+        for a float (B = alpha^2 at |alpha| > 1.3e154) is an InputError.
         """
         k = self.kappa
         half, eighth = Fraction(1, 2), Fraction(1, 8)
@@ -155,28 +156,27 @@ class FamilySpec:
         else:
             B = Fraction(B)
         if self.name == "chordal-drift":
-            return FieldCoeffs("b", -alpha, 0, 0), alpha, alpha * alpha
-        if self.name == "parabolic-beta":
-            return FieldCoeffs("b", 0, 2 * B / (k - 8), 0), Fraction(0), B
-        if self.name == "dipolar-drift":
-            return (
-                FieldCoeffs("b", -alpha, -half, alpha / 4),
-                alpha,
-                alpha * alpha - 1,
-            )
-        if self.name.startswith("hyperbolic-beta"):
+            out = FieldCoeffs("b", -alpha, 0, 0), alpha, alpha * alpha
+        elif self.name == "parabolic-beta":
+            out = FieldCoeffs("b", 0, 2 * B / (k - 8), 0), Fraction(0), B
+        elif self.name == "dipolar-drift":
+            out = FieldCoeffs("b", -alpha, -half, alpha / 4), alpha, alpha * alpha - 1
+        elif self.name.startswith("hyperbolic-beta"):
             s = 1 if self.name.endswith("(+)") else -1
             al = s * (k - 6) * half
             b0 = (3 - k) * half + 2 * B / (k - 8)
             b1 = -s * eighth * (k - 2 - 8 * B / (k - 8))
-            return FieldCoeffs("b", -al, b0, b1), al, B
-        if self.name == "radial6-drift":
-            return (
-                FieldCoeffs("b", -alpha, half, -alpha / 4),
-                alpha,
-                1 + alpha * alpha,
-            )
-        raise InputError(f"unknown family {self.name!r}")
+            out = FieldCoeffs("b", -al, b0, b1), al, B
+        elif self.name == "radial6-drift":
+            out = FieldCoeffs("b", -alpha, half, -alpha / 4), alpha, 1 + alpha * alpha
+        else:
+            raise InputError(f"unknown family {self.name!r}")
+        try:
+            for c in (*out[0].coeffs, *out[1:]):
+                float(c)
+        except OverflowError:
+            raise InputError(f"{self.name} coefficients overflow a float") from None
+        return out
 
     def instantiate(self, alpha, B) -> FlowModel:
         """The float flow model; alpha and B are read as coefficients() reads them."""

@@ -267,7 +267,8 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     next step, so a caller copies what it keeps.  The tiles of one step
     cover every path once, but a tile's later steps may come before the
     next tile's earlier ones.  Seed points must lie in the open upper
-    half-plane (InputError otherwise).
+    half-plane within |z| < R_MAX (InputError otherwise); a path that
+    leaves that radius later is a NumericalError.
     """
     n_steps = _n_steps(T, dt)
     if not isinstance(rng, np.random.Generator):
@@ -286,6 +287,8 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
         (-s0, -2.0 * s1, 0.0), dt, sqk)
     pts = np.asarray(points, dtype=complex).ravel()
     require_upper_half_plane(pts)
+    if np.any(np.abs(pts) >= R_MAX):
+        raise InputError(f"seed points must lie within |z| < R_MAX = {R_MAX:g}")
     shape = (n_paths, pts.size)
     # the state (x, y, lr, li, alive) over all paths
     state = (np.tile(pts.real, (n_paths, 1)), np.tile(pts.imag, (n_paths, 1)),

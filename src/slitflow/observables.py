@@ -9,7 +9,7 @@ hitting-probability experiment, and the flow/field coupling ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -427,7 +427,6 @@ class CouplingResult:
     var_target: float
     flagged: int
     n: int
-    _ks: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def mean(self) -> float:
@@ -442,11 +441,8 @@ class CouplingResult:
         return float(self.samples.var(ddof=1))
 
     def ks(self):
-        """(statistic, 1 % critical value), computed on the first call."""
-        if self._ks is None:
-            self._ks = ks_normality(
-                self.samples, self.mean, math.sqrt(self.variance))
-        return self._ks
+        """(statistic, 1 % critical value) of the standardized samples."""
+        return ks_normality(self.samples, self.mean, math.sqrt(self.variance))
 
     @property
     def mean_pass(self) -> bool:

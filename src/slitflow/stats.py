@@ -1,10 +1,12 @@
 """Ensemble statistics: Monte Carlo reports, martingale drift tests, and
 normality checks.
 
-The Kolmogorov-Smirnov test is computed directly from the sorted sample and
-``scipy.special.ndtr``, with the formula ``scipy.stats.kstest(xs, "norm")``
-uses, so its statistic and critical value match scipy's bit for bit without
-importing ``scipy.stats``.
+The Kolmogorov-Smirnov test uses the formula of
+``scipy.stats.kstest(xs, "norm")`` on numpy and the standard library: the
+normal CDF is 0.5 erfc(-x/sqrt 2) from ``math.erfc``, which differs from
+scipy's cephes ``ndtr`` by at most 2.2e-16, so the statistic agrees with
+scipy's to within 2^-52.  The 1 % critical value is the pinned Kolmogorov
+quantile KS_CRIT_1PCT over sqrt(n), the value scipy gives exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 from .errors import InputError
 
 Z_THRESHOLD = 3.0  # |z-score| below which a Monte Carlo estimate passes
+# 0.99 quantile of the Kolmogorov distribution, float(kolmogi(1.0 - 0.99))
+KS_CRIT_1PCT = 1.6276236115189502
 
 
 @dataclass
@@ -73,15 +77,10 @@ def ks_normality(samples, mean: float, std: float):
 
     Returns (statistic, critical value at the 1% level).
     """
-    # scipy.special loads on the first call, not with the package
-    from scipy.special import kolmogi, ndtr
-
     xs = np.sort((np.asarray(samples, dtype=float) - mean) / std)
     n = xs.size
-    cdf = ndtr(xs)
+    r = math.sqrt(0.5)
+    cdf = np.array([0.5 * math.erfc(-x * r) for x in xs.tolist()])
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
-    # kolmogi inverts the Kolmogorov survival function, so this is the
-    # 0.99 quantile kstwobign.ppf(0.99) returns
-    crit = float(kolmogi(1.0 - 0.99)) / math.sqrt(n)
-    return float(max(d_plus, d_minus)), crit
+    return float(max(d_plus, d_minus)), KS_CRIT_1PCT / math.sqrt(n)

@@ -166,6 +166,23 @@ def test_non_finite_point_exits_two_without_hanging():
     assert proc.stdout == "" and "config error" in proc.stderr
 
 
+@pytest.mark.parametrize("command, code", [
+    ("simulate", 2), ("verify-martingales", 2),
+    ("classify", 0), ("check-identities", 0),
+])
+def test_huge_alpha_exits_without_traceback(command, code):
+    # B = alpha^2 does not fit in a float past |alpha| ~ 1.3e154: simulate
+    # and verify-martingales exit 2, and classify and check-identities write
+    # note-only rows for the drift families
+    proc = _run([command, "--seed", "1", "--alpha", "1e300"])
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert "coefficients overflow a float" in proc.stdout
+    else:
+        assert "config error" in proc.stderr
+
+
 def test_bad_complex_exits_two():
     proc = _run(["simulate", "--seed", "1", "--z", "zebra"])
     assert proc.returncode == 2

@@ -170,8 +170,19 @@ def test_ensemble_freezes_near_singularity():
 
 
 def test_ensemble_raises_beyond_safe_radius():
+    # a seed point inside R_MAX that a drift of 1e10 carries out in one step
     with pytest.raises(NumericalError, match="left the safe radius"):
-        simulate_ensemble(_chordal_model(), [2e6j], 4, 0.01, 1e-3, 0)
+        simulate_ensemble(_chordal_model(4.0, 1e10), [1j], 4, 0.01, 1e-3, 0)
+
+
+def test_ensemble_rejects_seed_points_beyond_safe_radius():
+    # a seed point at or past R_MAX is a usage error before any step, with
+    # no overflow warning on the way; just inside it the ensemble runs
+    for z in (1e7j, 1e200j, flow.R_MAX * 1j):
+        with pytest.raises(InputError, match="R_MAX"):
+            simulate_ensemble(_chordal_model(), [z], 4, 0.01, 1e-3, 0)
+    res = simulate_ensemble(_chordal_model(), [9e5j], 4, 0.01, 1e-3, 0)
+    assert res.alive.all()
 
 
 @pytest.mark.parametrize("geometry, kappa, alpha",

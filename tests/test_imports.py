@@ -2,8 +2,8 @@
 module-level definition and constant is reachable from the CLI, the
 acceptance criteria, the scripts or the benchmark, every raise names
 ``InputError`` or ``NumericalError``, importing the package loads no
-submodule, scipy is imported only inside functions of ``stats.py`` (the KS
-test), and subcommands that run no KS test start on numpy alone."""
+submodule, no module imports scipy, and every subcommand runs with scipy
+blocked: slitflow needs numpy alone at run time."""
 
 import ast
 import os
@@ -137,71 +137,62 @@ def test_family_parameter_is_read_only_by_the_family():
     assert not found, "reads of .parameter outside FamilySpec: " + ", ".join(found)
 
 
-def _loaded_after(code: str, roots=("scipy",)) -> list:
-    """Modules under ``roots`` loaded in a fresh interpreter after running code."""
-    probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules"
-             f" if m.split('.')[0] in {roots!r}))")
+def _run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter; it must exit 0."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=env, check=True)
-    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_import_does_not_load_scipy_stats():
     # the package root holds only __version__: importing it loads no
     # submodule, so neither numpy nor scipy
-    loaded = _loaded_after("import slitflow", ("slitflow", "numpy", "scipy"))
-    assert loaded == ["slitflow"], loaded
+    out = _run_python("import slitflow, sys\nprint(sorted(m for m in sys.modules"
+                      " if m.split('.')[0] in ('slitflow', 'numpy', 'scipy')))")
+    assert ast.literal_eval(out) == ["slitflow"], out
 
 
-def _scipy_imports(tree: ast.Module) -> set:
-    """Line numbers of the imports of scipy or its submodules in ``tree``."""
-    return {
-        node.lineno for node in ast.walk(tree)
+def test_no_src_module_imports_scipy():
+    # scipy is a test-only reference; the package runs on numpy alone
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in _modules()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if (isinstance(node, ast.Import)
             and any(a.name.split(".")[0] == "scipy" for a in node.names))
         or (isinstance(node, ast.ImportFrom)
             and (node.module or "").split(".")[0] == "scipy")
-    }
-
-
-def test_scipy_is_imported_only_inside_stats_functions():
-    # only the KS test needs scipy (its statistic is pinned to scipy's ndtr);
-    # a function-level import keeps it out of every other call's start-up
-    found = []
-    for path in _modules():
-        tree = ast.parse(path.read_text(), filename=str(path))
-        lines = _scipy_imports(tree)
-        in_functions = set().union(*(
-            _scipy_imports(node) for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ))
-        found += [f"{path.name}:{line}" for line in sorted(lines)
-                  if path.name != "stats.py" or line not in in_functions]
-    assert not found, "scipy imported outside stats.py functions: " + ", ".join(found)
+    ]
+    assert not found, "scipy imported at: " + ", ".join(found)
 
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--kappa", "6"],
     ["check-identities", "--kappa", "6", "--seed", "1", "--n-pairs", "10"],
     ["simulate", "--seed", "1", "--n-paths", "4"],
+    ["verify-martingales", "--seed", "1", "--n-paths", "100", "--T", "0.05"],
+    ["gff-couple", "--seed", "1", "--n-samples", "60", "--T", "0.05",
+     "--dt", "1e-3"],
     ["sc-residual", "--kappa", "8", "--alpha", "0.2", "--z", "2i"],
     ["cardy-zhan", "--seed", "1", "--n-paths", "20", "--dt", "2e-3",
      "--t-max", "20"],
-])
-def test_subcommands_without_ks_test_load_no_scipy(argv, tmp_path):
-    # one fresh interpreter per subcommand: scipy loads only with the first
-    # KS test, which these never run; the Schwarz-Christoffel map that
-    # sc-residual and cardy-zhan build is numpy alone.  cardy-zhan's verdict
-    # at 20 paths is a coin flip, so its exit code is checked against the
-    # CLI contract: 0 when every pass flag in its CSV holds, 1 otherwise
+], ids=lambda argv: argv[0])
+def test_subcommands_run_with_scipy_blocked(argv, tmp_path):
+    # one fresh interpreter per subcommand, with sys.modules["scipy"] = None
+    # set first so that any import of scipy fails.  The verdicts of
+    # gff-couple at 60 samples and cardy-zhan at 20 paths are coin flips,
+    # so their exit codes are checked against the CLI contract: 0 when
+    # every pass flag in the CSV holds, 1 otherwise
     expect = "0"
-    if argv[0] == "cardy-zhan":
-        out = str(tmp_path / "cardy-zhan.csv")
+    if argv[0] in ("gff-couple", "cardy-zhan"):
+        out = str(tmp_path / "out.csv")
         argv = argv + ["--out", out]
-        expect = (f"(0 if all(r['passed'] == 'True' for r in csv.DictReader("
-                  f"line for line in open({out!r}) if line[0] != '#')) else 1)")
-    code = (f"import csv\nfrom slitflow.cli import main\n"
-            f"rc = main({argv!r})\nassert rc == {expect}, rc")
-    loaded = _loaded_after(code)
-    assert not loaded, loaded
+        expect = (f"(0 if all(v == 'True' for r in csv.DictReader("
+                  f"line for line in open({out!r}) if line[0] != '#') "
+                  f"for k, v in r.items() if k.endswith(('pass', 'passed')))"
+                  f" else 1)")
+    _run_python(f"import sys\nsys.modules['scipy'] = None\n"
+                f"import csv\nfrom slitflow.cli import main\n"
+                f"rc = main({argv!r})\nassert rc == {expect}, rc")

@@ -102,7 +102,7 @@ def test_result_verdicts_are_their_gates():
     samples = np.random.default_rng(0).standard_normal(400)
     res = CouplingResult(samples, 0.0, 1.0, 0, samples.size)
     assert res.mean_pass and res.var_pass and res.ks_pass and res.passed
-    assert res.ks() is res.ks()
+    assert res.ks() == res.ks()
     off = CouplingResult(samples, 1.0, 1.0, 0, samples.size)
     assert not off.mean_pass and not off.passed
     wide = CouplingResult(samples, 0.0, 2.0, 0, samples.size)
