@@ -129,9 +129,35 @@ def solve_system(kappa, sigma0, sigma1, alpha, *, B) -> SolveResult:
     return SolveResult("free" if free else "unique", b, res)
 
 
+def _hyperbolic(s):
+    """The exact rule of hyperbolic-beta with sign s = +1 or -1."""
+    def rule(k, B):
+        al = s * (k - 6) / 2
+        c = 2 * B / (k - 8)
+        return (-al, (3 - k) / 2 + c, -s * (k - 2 - 4 * c) / 8), al, B
+    return rule
+
+
+# The coupled families, one row each: name -> sigma_1 (sigma_0 = 0 in all),
+# the parameter the family reads (alpha, or B = beta*sqrt(kappa)), and its
+# exact rule (kappa, parameter) -> ((b_-1, b_0, b_1), alpha, B) in Fractions.
+# radial6-drift exists at kappa = 6 only.
+FAMILIES = {
+    "chordal-drift": (0, "alpha", lambda k, a: ((-a, 0, 0), a, a * a)),
+    "parabolic-beta": (0, "beta",
+                       lambda k, B: ((0, 2 * B / (k - 8), 0), Fraction(0), B)),
+    "dipolar-drift": (Fraction(-1, 4), "alpha",
+                      lambda k, a: ((-a, Fraction(-1, 2), a / 4), a, a * a - 1)),
+    "hyperbolic-beta(+)": (Fraction(-1, 4), "beta", _hyperbolic(1)),
+    "hyperbolic-beta(-)": (Fraction(-1, 4), "beta", _hyperbolic(-1)),
+    "radial6-drift": (Fraction(1, 4), "alpha",
+                      lambda k, a: ((-a, Fraction(1, 2), -a / 4), a, 1 + a * a)),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """A one-parameter family of coupled flows with exact coefficient formulas."""
+    """One row of FAMILIES at a fixed kappa."""
 
     name: str
     kappa: Fraction
@@ -146,37 +172,17 @@ class FamilySpec:
         enters as the binary fraction it stores.  A coefficient too large
         for a float (B = alpha^2 at |alpha| > 1.3e154) is an InputError.
         """
-        k = self.kappa
-        half, eighth = Fraction(1, 2), Fraction(1, 8)
-        if self.parameter == "alpha":
-            alpha = Fraction(alpha)
-        elif k == 8:
+        if self.parameter == "beta" and self.kappa == 8:
             family = self.name.split("(")[0]
             raise InputError(f"{family} degenerates at kappa = 8")
-        else:
-            B = Fraction(B)
-        if self.name == "chordal-drift":
-            out = FieldCoeffs("b", -alpha, 0, 0), alpha, alpha * alpha
-        elif self.name == "parabolic-beta":
-            out = FieldCoeffs("b", 0, 2 * B / (k - 8), 0), Fraction(0), B
-        elif self.name == "dipolar-drift":
-            out = FieldCoeffs("b", -alpha, -half, alpha / 4), alpha, alpha * alpha - 1
-        elif self.name.startswith("hyperbolic-beta"):
-            s = 1 if self.name.endswith("(+)") else -1
-            al = s * (k - 6) * half
-            b0 = (3 - k) * half + 2 * B / (k - 8)
-            b1 = -s * eighth * (k - 2 - 8 * B / (k - 8))
-            out = FieldCoeffs("b", -al, b0, b1), al, B
-        elif self.name == "radial6-drift":
-            out = FieldCoeffs("b", -alpha, half, -alpha / 4), alpha, 1 + alpha * alpha
-        else:
-            raise InputError(f"unknown family {self.name!r}")
+        p = Fraction(alpha if self.parameter == "alpha" else B)
+        b, al, Bc = FAMILIES[self.name][2](self.kappa, p)
         try:
-            for c in (*out[0].coeffs, *out[1:]):
+            for c in (*b, al, Bc):
                 float(c)
         except OverflowError:
             raise InputError(f"{self.name} coefficients overflow a float") from None
-        return out
+        return FieldCoeffs("b", *b), al, Bc
 
     def instantiate(self, alpha, B) -> FlowModel:
         """The float flow model; alpha and B are read as coefficients() reads them."""
@@ -187,29 +193,13 @@ class FamilySpec:
 
 
 def enumerate_families(kappa) -> list:
-    """The coupled-flow families at this kappa, with exact coefficient formulas."""
+    """The coupled-flow families at this kappa, one per row of FAMILIES."""
     if not (kappa > 0 and math.isfinite(kappa)):
         raise InputError("kappa must be positive and finite")
     k = Fraction(kappa)
-    sig_par = FieldCoeffs("sigma", 0, 0)
-    sig_hyp = FieldCoeffs("sigma", 0, Fraction(-1, 4))
-    sig_ell = FieldCoeffs("sigma", 0, Fraction(1, 4))
-    out = [
-        # drift alpha, b = (-alpha, 0, 0), B = alpha^2
-        FamilySpec("chordal-drift", k, sig_par, "alpha"),
-        # alpha = 0, b = (0, 2B/(kappa-8), 0)
-        FamilySpec("parabolic-beta", k, sig_par, "beta"),
-        # drift alpha, b = (-alpha, -1/2, alpha/4), B = alpha^2 - 1
-        FamilySpec("dipolar-drift", k, sig_hyp, "alpha"),
-        # alpha = (kappa-6)/2, b_0 = (3-kappa)/2 + 2B/(kappa-8)
-        FamilySpec("hyperbolic-beta(+)", k, sig_hyp, "beta"),
-        # alpha = -(kappa-6)/2, b_0 = (3-kappa)/2 + 2B/(kappa-8)
-        FamilySpec("hyperbolic-beta(-)", k, sig_hyp, "beta"),
-    ]
-    if k == 6:
-        # kappa = 6 only; b = (-alpha, 1/2, -alpha/4), B = 1 + alpha^2
-        out.append(FamilySpec("radial6-drift", k, sig_ell, "alpha"))
-    return out
+    return [FamilySpec(name, k, FieldCoeffs("sigma", 0, s1), parameter)
+            for name, (s1, parameter, _) in FAMILIES.items()
+            if name != "radial6-drift" or k == 6]
 
 
 @dataclass(frozen=True)

@@ -45,37 +45,15 @@ def green_half_plane_grid(z1, z2):
     return np.log(np.abs(z1 - np.conj(z2))) - np.log(np.abs(z1 - z2))
 
 
-@dataclass(frozen=True)
-class TriangleSpec:
-    """A labelled triangle with interior angles and vertex positions."""
-
-    angle_a: float
-    angle_b: float
-    angle_c: float
-    vertex_a: complex
-    vertex_b: complex
-    vertex_c: complex
-
-    def __post_init__(self):
-        angles = (self.angle_a, self.angle_b, self.angle_c)
-        if any(not (0.0 < t < math.pi) for t in angles):
-            raise InputError(f"triangle angles out of range: {angles}")
-        if abs(sum(angles) - math.pi) > 1e-12:
-            raise InputError("triangle angles must sum to pi")
-
-    @property
-    def vertices(self):
-        return (self.vertex_a, self.vertex_b, self.vertex_c)
-
-
-def barycentric(point, tri: TriangleSpec):
-    """Barycentric coordinates (a, b, c) of points in ``tri``, renormalized to sum 1.
+def barycentric(point, vertices):
+    """Barycentric coordinates (a, b, c) of points in the triangle with
+    complex ``vertices`` (A, B, C), renormalized to sum 1.
 
     ``point`` is a complex scalar or array; the coordinates run along a new
     last axis.  Raises NumericalError if any point lies outside the
     triangle by more than TRIANGLE_TOL (relative to the triangle's size).
     """
-    A, B, C = tri.vertices
+    A, B, C = vertices
     u, v = B - A, C - A
     p = np.asarray(point, dtype=complex) - A
     # closed form of the 2x2 solve  [u v] (b, c) = p  over the reals
@@ -130,8 +108,10 @@ class ScMap:
         h'(z) = C * z**exp_zero * (z - 1)**exp_one
 
     with exp_one = -4/kappa and exp_zero = -1 + 2(1+alpha)/kappa, principal
-    branches throughout.  The vertices come from Euler beta integrals (by
-    lgamma); h itself is a Gauss-Jacobi sum in the chart of the nearest
+    branches throughout.  ``vertices`` (A, B, C) = (h(1), h(inf), h(0)) have
+    angles pi(1 + exp_one), pi(1 + exp_inf), pi(1 + exp_zero), each in
+    (0, pi) as kappa > 4 and |alpha| < 1, and come from Euler beta integrals
+    (by lgamma); h itself is a Gauss-Jacobi sum in the chart of the nearest
     vertex, with a _SC_QUAD_ORDER-point Golub-Welsch rule per vertex.
     """
 
@@ -140,7 +120,7 @@ class ScMap:
     exp_zero: float = field(init=False)
     exp_one: float = field(init=False)
     exp_inf: float = field(init=False)
-    triangle: TriangleSpec = field(init=False)
+    vertices: tuple = field(init=False)
     scale: complex = field(init=False)
 
     def __post_init__(self):
@@ -160,14 +140,7 @@ class ScMap:
         c_raw = -c_mod * cmath.exp(1j * math.pi * self.exp_one)
         # Normalize: A at the origin, B at 1 on the positive real axis.
         self.scale = 1.0 / b_raw
-        vertex_a = 0.0 + 0.0j
-        vertex_b = 1.0 + 0.0j
-        vertex_c = c_raw * self.scale
-
-        angle_a = math.pi * (1.0 + self.exp_one)
-        angle_b = math.pi * (1.0 + self.exp_inf)
-        angle_c = math.pi * (1.0 + self.exp_zero)
-        self.triangle = TriangleSpec(angle_a, angle_b, angle_c, vertex_a, vertex_b, vertex_c)
+        self.vertices = (0.0 + 0.0j, 1.0 + 0.0j, c_raw * self.scale)
 
         # Gauss-Jacobi nodes and weights moved from [-1, 1] to [0, 1], one
         # rule per vertex chart, weighted by t^exponent
@@ -207,7 +180,7 @@ class ScMap:
         # h(z) = C_vertex + z^(1+exp_zero) * int_0^1 t^exp_zero (z t - 1)^exp_one dt
         t, w = self._quad["zero"]
         integral = _jacobi_sum(w, self.exp_one, z[..., None] * t - 1.0)
-        return self.triangle.vertex_c + self.scale * np.exp(
+        return self.vertices[2] + self.scale * np.exp(
             (1.0 + self.exp_zero) * np.log(z)
         ) * integral
 
@@ -216,7 +189,7 @@ class ScMap:
         p = 1.0 + self.exp_zero + self.exp_one  # negative
         t, w = self._quad["inf"]
         integral = _jacobi_sum(w, self.exp_one, 1.0 - t / z[..., None])
-        return self.triangle.vertex_b - self.scale * np.exp(p * np.log(z)) * integral
+        return self.vertices[1] - self.scale * np.exp(p * np.log(z)) * integral
 
     def h(self, z):
         """Half-plane chart map onto the triangle; h(1), h(0), h(inf) are the vertices.
@@ -257,8 +230,8 @@ class ScMap:
         right, left = x > 50.0, x < -50.0
         inside = ~(right | left)
         out = np.empty_like(z)
-        out[right] = self.triangle.vertex_b
-        out[left] = self.triangle.vertex_c
+        out[right] = self.vertices[1]
+        out[left] = self.vertices[2]
         out[inside] = self.h(np.exp(z[inside]))
         return out[()]
 
@@ -268,7 +241,7 @@ class ScMap:
         The three probabilities run along a new last axis: shape (3,) for a
         scalar z, (n, 3) for n points.
         """
-        return barycentric(self(z), self.triangle)
+        return barycentric(self(z), self.vertices)
 
 
 def sc_map_build(kappa: float, alpha: float) -> ScMap:

@@ -28,28 +28,14 @@ class FieldCoeffs:
     """Coefficients of a normalized b-field or sigma-field.
 
     kind 'b' uses (c1, c2, c3) = (b_{-1}, b_0, b_1); kind 'sigma' uses
-    (c1, c2) = (sigma_0, sigma_1) and c3 must stay 0.
-    Coefficients may be floats or Fractions; evaluation follows the input type.
+    (c1, c2) = (sigma_0, sigma_1) and leaves c3 at 0.
+    Coefficients may be floats or Fractions; evaluation reads them as floats.
     """
 
     kind: str
     c1: float
     c2: float
     c3: float = 0
-
-    def __post_init__(self):
-        if self.kind not in ("b", "sigma"):
-            raise InputError(f"unknown field kind {self.kind!r}")
-        if self.kind == "sigma" and self.c3 != 0:
-            raise InputError("sigma-fields have only two coefficients")
-
-    @staticmethod
-    def b_field(bm1, b0, b1) -> "FieldCoeffs":
-        return FieldCoeffs("b", bm1, b0, b1)
-
-    @staticmethod
-    def sigma_field(s0, s1) -> "FieldCoeffs":
-        return FieldCoeffs("sigma", s0, s1)
 
     @property
     def coeffs(self) -> tuple:

@@ -68,10 +68,9 @@ def dipolar_vertex_log(kappa: float, alpha: float, w, log_wp):
 
 def _family_model(geometry: str, kappa: float, alpha: float) -> FlowModel:
     name = {"chordal": "chordal-drift", "dipolar": "dipolar-drift"}[geometry]
-    for spec in enumerate_families(kappa):
-        if spec.name == name:
-            return spec.instantiate(alpha, 0)
-    raise InputError(f"family {name} unavailable at kappa={kappa}")
+    # both drift families exist at every kappa
+    spec = next(s for s in enumerate_families(kappa) if s.name == name)
+    return spec.instantiate(alpha, 0)
 
 
 MARTINGALE_POINTS = (
@@ -247,9 +246,6 @@ class CardyZhanResult:
     part of the answer that the oracle supplies rather than the paths.
     """
 
-    kappa: float
-    alpha: float
-    z: complex
     n: int
     mc: tuple  # (swallowed, right, left)
     se: tuple
@@ -370,7 +366,7 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     mc = tuple(float(p) for p in bary.mean(axis=0))
     se = tuple(math.sqrt(p * (1.0 - p) / n_paths) for p in mc)
     return CardyZhanResult(
-        kappa, alpha, z, n_paths, mc, se, oracle,
+        n_paths, mc, se, oracle,
         float(np.mean(top <= VERTEX_TOL)), float(np.mean(1.0 - top)),
     )
 
@@ -386,7 +382,7 @@ def bpz_sc_residual(kappa: float, alpha: float, z: complex) -> dict:
     h' and compared with exp_one/(z-1) + exp_zero/z; the log-derivative of
     the dipolar vertex observable is compared with its partial-fraction form,
     whose exponents are the triangle map's.  The difference step is
-    1e-3 max(1, |z|).
+    1e-3 max(1, |z|); the check passes when both residuals are below 1e-8.
     """
     z = complex(z)
     h = 1e-3 * max(1.0, abs(z))
@@ -407,9 +403,11 @@ def bpz_sc_residual(kappa: float, alpha: float, z: complex) -> dict:
 
     lderiv = fd_deriv(mhat_log, z)
     closed_v = sm.exp_one / z + sm.exp_inf / (z - 1.0) + sm.exp_zero / (z + 1.0)
+    res_vertex = abs(lderiv - closed_v)
     return {
         "map_residual": float(res_map),
-        "vertex_residual": float(abs(lderiv - closed_v)),
+        "vertex_residual": float(res_vertex),
+        "passed": bool(res_map < 1e-8 and res_vertex < 1e-8),
     }
 
 

@@ -24,13 +24,12 @@ KS_CRIT_1PCT = 1.6276236115189502
 
 @dataclass
 class McReport:
-    """One Monte Carlo estimate against a target value."""
+    """One Monte Carlo estimate of a mean whose target is 0."""
 
     name: str
     n: int
     mean: float
     variance: float
-    target: float
     se: float = field(init=False)
     zscore: float = field(init=False)
     passed: bool = field(init=False)
@@ -38,9 +37,9 @@ class McReport:
     def __post_init__(self):
         self.se = math.sqrt(self.variance / self.n) if self.n > 0 else math.inf
         if self.se == 0.0:
-            self.zscore = 0.0 if self.mean == self.target else math.inf
+            self.zscore = 0.0 if self.mean == 0.0 else math.inf
         else:
-            self.zscore = (self.mean - self.target) / self.se
+            self.zscore = self.mean / self.se
         self.passed = abs(self.zscore) < Z_THRESHOLD
 
     def csv_row(self) -> dict:
@@ -49,7 +48,7 @@ class McReport:
             "n": self.n,
             "mean": self.mean,
             "se": self.se,
-            "target": self.target,
+            "target": 0.0,
             "zscore": self.zscore,
             "pass": self.passed,
         }
@@ -69,7 +68,7 @@ def drift_test(deltas, name: str = "drift") -> McReport:
     if variance == 0.0:
         # degenerate-variance warning is encoded in the report name
         name = name + " [degenerate variance]"
-    return McReport(name, deltas.size, float(np.mean(deltas)), variance, 0.0)
+    return McReport(name, deltas.size, float(np.mean(deltas)), variance)
 
 
 def ks_normality(samples, mean: float, std: float):

@@ -77,9 +77,9 @@ def test_solve_system_roundtrip_exact(kappa):
         b, alpha, B = spec.coefficients(Fraction(1, 3), Fraction(2, 9))
         res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
         assert res.status in ("unique", "free")
-        assert all(abs(float(r)) < 1e-12 for r in res.residuals)
+        assert all(r == 0 for r in res.residuals)
         direct = system_residuals(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B, b)
-        assert all(abs(float(r)) < 1e-12 for r in direct)
+        assert all(r == 0 for r in direct)
 
 
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan, math.inf])

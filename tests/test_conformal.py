@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from slitflow.conformal import (
     _SC_QUAD_ORDER,
     ScMap,
-    TriangleSpec,
     _gauss_jacobi,
     barycentric,
     green_half_plane,
@@ -42,12 +41,9 @@ def test_green_grid_matches_scalar():
 
 
 def test_barycentric_identity_at_vertices_and_center():
-    tri = TriangleSpec(
-        math.pi / 3, math.pi / 3, math.pi / 3, 0.0, 1.0, 0.5 + 0.5j * math.sqrt(3)
-    )
-    assert barycentric(tri.vertex_a, tri) == pytest.approx((1.0, 0.0, 0.0))
-    center = (tri.vertex_a + tri.vertex_b + tri.vertex_c) / 3.0
-    assert barycentric(center, tri) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+    tri = (0.0, 1.0, 0.5 + 0.5j * math.sqrt(3))
+    assert barycentric(tri[0], tri) == pytest.approx((1.0, 0.0, 0.0))
+    assert barycentric(sum(tri) / 3.0, tri) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     with pytest.raises(NumericalError, match="outside triangle"):
         barycentric(-1.0 - 1.0j, tri)
 
@@ -59,25 +55,26 @@ def test_barycentric_identity_at_vertices_and_center():
 def test_barycentric_reconstructs_point(a, b):
     if a + b > 1.0:
         return
-    tri = TriangleSpec(
-        math.pi / 2, math.pi / 4, math.pi / 4, 0.0, 2.0, 1.0j
-    )
+    tri = (0.0, 2.0, 1.0j)
     c = 1.0 - a - b
-    p = a * tri.vertex_a + b * tri.vertex_b + c * tri.vertex_c
+    p = a * tri[0] + b * tri[1] + c * tri[2]
     got = barycentric(p, tri)
     assert got == pytest.approx((a, b, c), abs=1e-9)
 
 
-@pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2)])
+@pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2),
+                                         (5.0, -0.7), (12.0, 0.9)])
 def test_sc_map_angles_and_vertices(kappa, alpha):
     sm = sc_map_build(kappa, alpha)
-    tri = sm.triangle
-    assert tri.angle_a + tri.angle_b + tri.angle_c == pytest.approx(math.pi)
-    assert tri.angle_a == pytest.approx(math.pi * (1.0 - 4.0 / kappa))
+    A, B, C = sm.vertices
+    # the angle at each lgamma vertex is pi (1 + the exponent of h' there)
+    for p, q, r, e in ((A, B, C, sm.exp_one), (B, C, A, sm.exp_inf),
+                       (C, A, B, sm.exp_zero)):
+        assert abs(abs(cmath.phase((q - p) / (r - p))) - math.pi * (1.0 + e)) < 1e-12
     # the chart map reaches the labelled vertices
-    assert sm.h(1.0) == pytest.approx(tri.vertex_a, abs=1e-10)
-    assert sm(60.0 + 1.5j) == pytest.approx(tri.vertex_b, abs=1e-9)
-    assert sm(-60.0 + 1.5j) == pytest.approx(tri.vertex_c, abs=1e-9)
+    assert sm.h(1.0) == pytest.approx(A, abs=1e-10)
+    assert sm(60.0 + 1.5j) == pytest.approx(B, abs=1e-9)
+    assert sm(-60.0 + 1.5j) == pytest.approx(C, abs=1e-9)
 
 
 def test_sc_map_at_vertex_a_is_warning_free():
@@ -85,7 +82,7 @@ def test_sc_map_at_vertex_a_is_warning_free():
     sm = sc_map_build(6.0, 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert sm.h(1.0) == sm.triangle.vertex_a
+        assert sm.h(1.0) == sm.vertices[0]
 
 
 @pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2)])
@@ -158,7 +155,6 @@ def test_strip_chart_consistent_with_half_plane_chart():
 @pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2)])
 def test_batched_exit_probabilities_match_pointwise(kappa, alpha):
     sm = sc_map_build(kappa, alpha)
-    tri = sm.triangle
     z = np.array([
         0.5 + 0.3j, 1.0 + 1.5j,           # chart at h = 1: Re e^z >= 1/2
         2.0 + 1.0j, 5.0 + 3.1j,           # chart at infinity: |e^z| >= 4
@@ -173,7 +169,7 @@ def test_batched_exit_probabilities_match_pointwise(kappa, alpha):
     pointwise = np.array([sm.exit_probabilities(complex(p)) for p in z])
     np.testing.assert_array_equal(batch, pointwise)
     assert np.abs(batch.sum(axis=1) - 1.0).max() < 1e-12
-    rebuilt = batch @ np.array(tri.vertices)
+    rebuilt = batch @ np.array(sm.vertices)
     assert np.abs(rebuilt - sm(z)).max() < 1e-12
     # each vertex neighbourhood concentrates on its own exit
     assert batch[6:8, 0].min() > 0.95
@@ -199,9 +195,8 @@ def test_batched_oracle_raises_for_the_batch():
         sm.exit_probabilities(np.array([1j, 0.5 + 4.0j]))
     with pytest.raises(InputError, match="h is defined on the closed upper"):
         sm.h(np.array([1j, 1.0 - 0.5j]))
-    tri = sm.triangle
     with pytest.raises(NumericalError, match="outside triangle"):
-        barycentric(np.array([0.5 * tri.vertex_c, -1.0 - 1.0j]), tri)
+        barycentric(np.array([0.5 * sm.vertices[2], -1.0 - 1.0j]), sm.vertices)
 
 
 @pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2)])
@@ -231,4 +226,4 @@ def test_vertex_c_matches_the_betaln_route(kappa, alpha):
     b_raw = math.exp(betaln(sm.exp_inf + 1.0, sm.exp_one + 1.0))
     c_mod = math.exp(betaln(sm.exp_zero + 1.0, sm.exp_one + 1.0))
     c_ref = -c_mod * cmath.exp(1j * math.pi * sm.exp_one) / b_raw
-    assert abs(sm.triangle.vertex_c - c_ref) < 1e-14
+    assert abs(sm.vertices[2] - c_ref) < 1e-14

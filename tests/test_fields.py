@@ -22,8 +22,8 @@ def random_half_plane_points(n, rng=RNG, lo=0.2, span=2.5):
 
 
 def test_field_evaluation_matches_polynomial():
-    b = FieldCoeffs.b_field(0.3, -0.7, 0.2)
-    s = FieldCoeffs.sigma_field(0.5, -0.1)
+    b = FieldCoeffs("b", 0.3, -0.7, 0.2)
+    s = FieldCoeffs("sigma", 0.5, -0.1)
     z = 0.4 + 1.1j
     assert eval_field(b, z) == pytest.approx(-(2.0 / z + 0.3 - 0.7 * z + 0.2 * z * z))
     assert eval_field(s, z) == pytest.approx(-(1.0 + 0.5 * z - 0.1 * z * z))
@@ -34,7 +34,7 @@ def test_field_evaluation_matches_polynomial():
 
 
 def test_eval_field_prime_by_finite_differences():
-    b = FieldCoeffs.b_field(-1.0, 0.25, 0.03)
+    b = FieldCoeffs("b", -1.0, 0.25, 0.03)
     z = -0.8 + 0.9j
     h = 1e-6
     fd = (eval_field(b, z + h) - eval_field(b, z - h)) / (2 * h)
@@ -43,14 +43,14 @@ def test_eval_field_prime_by_finite_differences():
 
 def test_lie_green_sigma_vanishes_on_random_pairs():
     pts = random_half_plane_points(200)
-    s = FieldCoeffs.sigma_field(0.37, -0.21)
+    s = FieldCoeffs("sigma", 0.37, -0.21)
     vals = [lie_green_closed(s, z1, z2) for z1, z2 in zip(pts[::2], pts[1::2])]
     assert max(abs(v) for v in vals) < 1e-12
 
 
 def test_lie_green_b_closed_form_on_random_pairs():
     pts = random_half_plane_points(200)
-    b = FieldCoeffs.b_field(0.12, -0.4, 0.21)
+    b = FieldCoeffs("b", 0.12, -0.4, 0.21)
     for z1, z2 in zip(pts[::2], pts[1::2]):
         expect = 4.0 * (1.0 / z1).imag * (1.0 / z2).imag
         assert lie_green_closed(b, z1, z2) == pytest.approx(expect, abs=1e-10)
@@ -58,7 +58,7 @@ def test_lie_green_b_closed_form_on_random_pairs():
 
 def test_lie_green_coincident_rejected():
     with pytest.raises(InputError, match="coincident points"):
-        lie_green_closed(FieldCoeffs.b_field(0, 0, 0), 1j, 1j)
+        lie_green_closed(FieldCoeffs("b", 0, 0, 0), 1j, 1j)
 
 
 def test_lie_green_coincidence_error_names_one_pair():
@@ -68,13 +68,13 @@ def test_lie_green_coincidence_error_names_one_pair():
     z2 = z1 + 0.5j
     z2[437] = z1[437]
     with pytest.raises(InputError, match="coincident points") as info:
-        lie_green_closed(FieldCoeffs.sigma_field(0.3, -0.2), z1, z2)
+        lie_green_closed(FieldCoeffs("sigma", 0.3, -0.2), z1, z2)
     msg = str(info.value)
     assert len(msg) < 200 and "flat index 437" in msg and str(z1[437]) in msg
 
 
 def test_full_b_field_matches_finite_difference_lie():
-    b = FieldCoeffs.b_field(0.12, -0.4, 0.21)
+    b = FieldCoeffs("b", 0.12, -0.4, 0.21)
     z1, z2 = 0.9 + 0.8j, -0.4 + 1.6j
     fd = lie_derivative(b, green_half_plane, (z1, z2))
     assert complex(fd).real == pytest.approx(

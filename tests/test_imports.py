@@ -2,14 +2,16 @@
 module-level definition and constant is reachable from the CLI, the
 acceptance criteria, the scripts or the benchmark, every raise names
 ``InputError`` or ``NumericalError``, importing the package loads no
-submodule, no module imports scipy, and every subcommand runs with scipy
-blocked: slitflow needs numpy alone at run time."""
+submodule, no module imports scipy, every subcommand runs with scipy
+blocked (slitflow needs numpy alone at run time), and every name the
+benchmark's span wrappers patch exists."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -196,3 +198,33 @@ def test_subcommands_run_with_scipy_blocked(argv, tmp_path):
     _run_python(f"import sys\nsys.modules['scipy'] = None\n"
                 f"import csv\nfrom slitflow.cli import main\n"
                 f"rc = main({argv!r})\nassert rc == {expect}, rc")
+
+
+def test_benchmark_span_wrappers_install_and_restore():
+    # perfbench/spans.py wraps slitflow names where their callers look them
+    # up; a renamed one must fail here, not only in a traced benchmark run.
+    # A fresh interpreter, so a failed install leaves no wrapper behind
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(REPO / "perfbench")!r})
+        import importlib, spans
+        from slitflow import observables
+
+        def current():
+            out = [(m, a, getattr(importlib.import_module(m), a))
+                   for m, names in spans.WRAPPED_NAMES for a in names]
+            return out + [(m, c + "." + a,
+                           vars(getattr(importlib.import_module(m), c))[a])
+                          for m, c, a in spans.WRAPPED_METHODS]
+
+        before = current()
+        rec = spans.Recorder()
+        restore = spans.install(rec)
+        wrapped = sum(x[2] is not y[2] for x, y in zip(before, current()))
+        observables.bpz_sc_residual(6.0, 0.0, 2j)
+        restore()
+        print((len(before), wrapped, current() == before, sorted(rec.totals())))
+    """)
+    n, wrapped, restored, traced = ast.literal_eval(_run_python(code))
+    assert wrapped == n and restored
+    assert traced == ["conformal.sc_map_build", "observables.bpz_sc_residual"]

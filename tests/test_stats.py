@@ -10,20 +10,22 @@ from slitflow.stats import KS_CRIT_1PCT, McReport, drift_test, ks_normality
 
 
 def test_mc_report_zscore_and_pass():
-    rep = McReport("obs", 400, 1.05, 1.0, 1.0)
+    # the target is 0: the z-score is the mean in units of its se
+    rep = McReport("obs", 400, 0.05, 1.0)
     assert rep.se == pytest.approx(0.05)
     assert rep.zscore == pytest.approx(1.0)
     assert rep.passed
-    rep2 = McReport("obs", 400, 1.30, 1.0, 1.0)
+    rep2 = McReport("obs", 400, 0.30, 1.0)
     assert not rep2.passed
     row = rep.csv_row()
     assert row["pass"] is True and row["name"] == "obs"
+    assert row["target"] == 0.0 and isinstance(row["target"], float)
 
 
 def test_mc_report_degenerate_se():
-    rep = McReport("const", 10, 3.0, 0.0, 3.0)
+    rep = McReport("const", 10, 0.0, 0.0)
     assert rep.passed and rep.zscore == 0.0
-    rep_bad = McReport("const", 10, 3.0, 0.0, 2.0)
+    rep_bad = McReport("const", 10, 1.0, 0.0)
     assert not rep_bad.passed
 
 
