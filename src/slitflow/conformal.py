@@ -110,9 +110,11 @@ class ScMap:
     with exp_one = -4/kappa and exp_zero = -1 + 2(1+alpha)/kappa, principal
     branches throughout.  ``vertices`` (A, B, C) = (h(1), h(inf), h(0)) have
     angles pi(1 + exp_one), pi(1 + exp_inf), pi(1 + exp_zero), each in
-    (0, pi) as kappa > 4 and |alpha| < 1, and come from Euler beta integrals
-    (by lgamma); h itself is a Gauss-Jacobi sum in the chart of the nearest
-    vertex, with a _SC_QUAD_ORDER-point Golub-Welsch rule per vertex.
+    (0, pi) as kappa > 4 and |alpha| < 1 (InputError where float64 rounds
+    an exponent to -1, as at kappa = 5e16), and come from Euler beta
+    integrals (by lgamma); h itself is a Gauss-Jacobi sum in the chart of
+    the nearest vertex, with a _SC_QUAD_ORDER-point Golub-Welsch rule per
+    vertex.
     """
 
     kappa: float
@@ -132,6 +134,10 @@ class ScMap:
         self.exp_one = -4.0 / k
         self.exp_zero = -1.0 + 2.0 * (1.0 + al) / k
         self.exp_inf = -1.0 + 2.0 * (1.0 - al) / k
+        if not all(e > -1.0 for e in (self.exp_zero, self.exp_one,
+                                      self.exp_inf)):
+            raise InputError("kappa and alpha give a triangle angle of 0 "
+                             "in float64")
 
         # Raw vertices from Euler beta integrals of h' with unit prefactor,
         # h(1) = 0.  B is reached along (1, inf), C along (1, 0).

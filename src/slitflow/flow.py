@@ -259,16 +259,20 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     point) entry freezes once it comes within the resolvable distance of the
     pole at the origin or leaves the upper half-plane; it then keeps its last
     state, which lies off the pole.  Freezing at a state-dependent time keeps
-    stopped functionals unbiased.  ``callback(i, t, rows, x, y, lr, li,
-    alive)`` runs once before the first step with rows = slice(0, n_paths),
-    and after every step once per tile, with rows the tile's slice of the
-    paths and t = i dt; w = x + iy and log w' = lr + i li.  Its arrays are
-    read-only views of the live state of those rows, overwritten by the
-    next step, so a caller copies what it keeps.  The tiles of one step
-    cover every path once, but a tile's later steps may come before the
-    next tile's earlier ones.  Seed points must lie in the open upper
-    half-plane within |z| < R_MAX (InputError otherwise); a path that
-    leaves that radius later is a NumericalError.
+    stopped functionals unbiased.  While no entry of a tile has frozen, a
+    step that freezes none either (tested by the minima of |w|^2 and Im w
+    over the tile) commits by plain copies; any other step commits under
+    the mask of live entries, and both give the same bits where both apply.
+    ``callback(i, t, rows, x, y, lr, li, alive)`` runs once before the
+    first step with rows = slice(0, n_paths), and after every step once per
+    tile, with rows the tile's slice of the paths and t = i dt; w = x + iy
+    and log w' = lr + i li.  Its arrays are read-only views of the live
+    state of those rows, overwritten by the next step, so a caller copies
+    what it keeps.  The tiles of one step cover every path once, but a
+    tile's later steps may come before the next tile's earlier ones.  Seed
+    points must lie in the open upper half-plane within |z| < R_MAX
+    (InputError otherwise); a path that leaves that radius later is a
+    NumericalError.
     """
     n_steps = _n_steps(T, dt)
     if not isinstance(rng, np.random.Generator):
@@ -311,6 +315,7 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
         dbs *= math.sqrt(dt)
         for sl, (x, y, lr, li, alive), live, scr in tiles:
             xn, yn, lrn, lin, a, b, c, d = scr
+            fast = bool(alive.all())  # entries never unfreeze
             for j, db_all in enumerate(dbs):
                 db = db_all[sl, None]
                 # the poles: 2 dt/w = g conj(w) and -2 dt/w^2 = -h conj(w)^2,
@@ -336,14 +341,20 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
                 np.multiply(xn, xn, out=a)
                 np.multiply(yn, yn, out=b)
                 a += b
-                alive &= ~((yn <= 0.0) | (a < freeze_r2))
-                if np.max(a, where=alive, initial=0.0) > R_MAX * R_MAX:
+                # while every entry of the tile is alive and none freezes
+                # now (a NaN fails both tests), commit the step unmasked
+                keep = True
+                if not (fast and a.min(initial=math.inf) >= freeze_r2
+                        and yn.min(initial=math.inf) > 0.0):
+                    alive &= ~((yn <= 0.0) | (a < freeze_r2))
+                    keep, fast = alive, fast and bool(alive.all())
+                if a.max(where=keep, initial=0.0) > R_MAX * R_MAX:
                     raise NumericalError(
                         "ensemble trajectory left the safe radius")
-                np.copyto(x, xn, where=alive)
-                np.copyto(y, yn, where=alive)
-                np.copyto(lr, lrn, where=alive)
-                np.copyto(li, lin, where=alive)
+                np.copyto(x, xn, where=keep)
+                np.copyto(y, yn, where=keep)
+                np.copyto(lr, lrn, where=keep)
+                np.copyto(li, lin, where=keep)
                 if callback is not None:
                     i = i0 + j + 1
                     callback(i, i * dt, sl, *live)

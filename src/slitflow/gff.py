@@ -12,10 +12,12 @@ come from one place, the tables sin(k theta), k = 1..K, with
 theta = pi (x - x0)/W along x and pi (y - y0)/H along y.  They take
 one sin and one cos per point and axis; the other rows follow from the
 recurrence sin((k+1) theta) = 2 cos(theta) sin(k theta) - sin((k-1) theta),
-whose error grows like k^2 times the float64 epsilon.  The tables are laid
-out (..., K, P), so each row is one in-place ufunc over every sample and
-point; a field evaluation is one matmul per sample.  The coupling runs it
-on blocks of samples, and its samples do not depend on the block size.
+whose error grows like k^2 times the float64 epsilon.  A table is built
+as (K, ..., P), so each row of the recurrence is one in-place ufunc over a
+contiguous block of every sample and point, and is read as a (..., K, P)
+view; a field evaluation is one matmul per sample on that view.  The
+coupling runs it on blocks of samples, and its samples do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -153,17 +155,17 @@ def sin_multiples(theta: np.ndarray, k: int) -> np.ndarray:
 
     Row 1 takes sin(theta); every further row is filled in place from the
     two before it and 2 cos(theta), by the recurrence in the module docstring.
+    The rows are contiguous blocks of a (k, ..., P) array, returned as a view.
     """
-    out = np.empty(theta.shape[:-1] + (k,) + theta.shape[-1:])
-    out[..., 0, :] = np.sin(theta)
+    out = np.empty((k,) + theta.shape)
+    out[0] = np.sin(theta)
     if k > 1:
         c2 = 2.0 * np.cos(theta)
-        np.multiply(c2, out[..., 0, :], out=out[..., 1, :])
+        np.multiply(c2, out[0], out=out[1])
         for j in range(2, k):
-            row = out[..., j, :]
-            np.multiply(c2, out[..., j - 1, :], out=row)
-            row -= out[..., j - 2, :]
-    return out
+            np.multiply(c2, out[j - 1], out=out[j])
+            out[j] -= out[j - 2]
+    return np.moveaxis(out, 0, -2)
 
 
 class EigenBasis:

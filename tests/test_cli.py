@@ -183,6 +183,23 @@ def test_huge_alpha_exits_without_traceback(command, code):
         assert "config error" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["sc-residual", "cardy-zhan"])
+def test_angle_rounded_to_zero_exits_two_without_traceback(command):
+    # kappa = 5e16 and alpha = 1 - 2^-53 pass the range checks, but float64
+    # rounds a triangle angle to 0; kappa = 3e16 and alpha = 1 - 2^-52 do not
+    extra = ["--seed", "1", "--n-paths", "20"] if command == "cardy-zhan" else []
+    for flag in ("--kappa=5e16", "--alpha=0.9999999999999999"):
+        proc = _run([command, flag] + extra)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "triangle angle of 0" in proc.stderr
+    if command == "sc-residual":
+        for flag in ("--kappa=3e16", "--alpha=0.9999999999999998"):
+            proc = _run([command, flag])
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+
+
 def test_bad_complex_exits_two():
     proc = _run(["simulate", "--seed", "1", "--z", "zebra"])
     assert proc.returncode == 2

@@ -125,6 +125,11 @@ def test_sc_map_rejects_bad_parameters():
         ScMap(4.0, 0.0)
     with pytest.raises(InputError, match=r"alpha must lie in \(-1, 1\)"):
         ScMap(6.0, 1.0)
+    # inside those ranges float64 can still round an angle exponent to -1
+    for kappa, alpha in ((5e16, 0.0), (6.0, 0.9999999999999999),
+                         (6.0, -0.9999999999999999), (math.inf, 0.0)):
+        with pytest.raises(InputError, match="triangle angle of 0"):
+            ScMap(kappa, alpha)
     sm = sc_map_build(6.0, 0.0)
     with pytest.raises(InputError, match="not in the closed strip"):
         sm(1.0 + 4.0j)

@@ -282,6 +282,23 @@ def test_ensemble_output_does_not_depend_on_tiling(monkeypatch, geometry,
             assert getattr(res, name).tobytes() == getattr(runs[0], name).tobytes()
 
 
+def test_ensemble_tiles_that_freeze_and_tiles_that_never_do(monkeypatch):
+    # 8-row tiles over 64 paths of 2 points for 50 steps: a point at
+    # distance 0.42 from the pole freezes in some tiles (whose steps then
+    # commit masked) and in none of the others (whose steps commit
+    # unmasked); the result equals the one-tile run byte for byte
+    model = _chordal_model(6.0, 0.0)
+    pts = np.array([1j, 0.3 + 0.3j])
+    runs = []
+    for tile_bytes in (1 << 20, 8 * 2 * 8):
+        monkeypatch.setattr(flow, "TILE_BYTES", tile_bytes)
+        runs.append(simulate_ensemble(model, pts, 64, 0.05, 1e-3, 1))
+    tile_alive = runs[1].alive.reshape(8, 8 * 2).all(axis=1)
+    assert tile_alive.any() and not tile_alive.all()
+    for name in ("w", "log_wp", "alive"):
+        assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes()
+
+
 def test_qv_check_does_not_depend_on_tiling(monkeypatch):
     # 45 paths of 148 points: one tile, then 8-row tiles (5 x 8 + 5), then
     # 16-row tiles (2 x 16 + 13), with blocks of 16, 3 and 7 steps

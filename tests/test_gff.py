@@ -175,6 +175,16 @@ def test_sin_multiples_recurrence_matches_sin(dom):
     err = np.abs(table[0] - exact).max(axis=1)
     assert np.all(err <= k ** 2 * np.finfo(float).eps)
     assert np.array_equal(table[1], table[0][:, ::-1])
+    # the table of a 1-D theta (a test function's patch) is (k, P), and each
+    # slice of a batch is that table, byte for byte
+    flat = sin_multiples(theta, k_max)
+    assert flat.shape == (k_max, theta.size)
+    assert np.array_equal(flat, table[0])
+    rows = [theta, theta[::-1], np.roll(theta, 5)]
+    batch = sin_multiples(np.stack(rows * 2).reshape(2, 3, -1), k_max)
+    assert batch.shape == (2, 3, k_max, theta.size)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(batch[i, j], sin_multiples(rows[j], k_max))
 
 
 def test_field_at_points_matches_double_sum():

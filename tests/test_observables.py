@@ -366,7 +366,7 @@ def test_coupling_chunk_blocks_match_one_shot_field():
 
 
 def test_coupling_chunk_memory_is_bounded_by_the_block():
-    # the sine tables are held one block at a time: about 25 MB here, where
+    # the sine tables are held one block at a time: about 26 MB here, where
     # every sample's tables at once would take 177 MB
     tracemalloc.start()
     try:
