@@ -4,9 +4,9 @@ Every subcommand accepts --config (JSON file), --seed, --threads, --out and
 --format; outputs carry a header block with the resolved config, the seed
 and the package version.  A config file sets options by their flag names
 with dashes as underscores (n_paths for --n-paths); a flag given on the
-command line wins over the file.  Every value is converted and checked once,
-as argparse converts its flag.  Exit status: 0 when all pass flags are
-true, 1 when a check fails, 2 on usage and configuration errors.
+command line wins over the file.  Flags arrive as strings, and every value
+is converted and checked once, by _convert.  Exit status: 0 when all pass
+flags are true, 1 when a check fails, 2 on usage and configuration errors.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _load_config(path: str) -> dict:
 
 
 def _convert(options: dict, key: str, value):
-    """One value of the merged config, converted and checked as its flag."""
+    """One value of the merged config, converted to its option's type and checked."""
     if key not in options:
         raise InputError(f"unknown option {key!r}")
     kind, default = options[key]
@@ -216,7 +216,7 @@ def _cmd_classify(cfg):
 
 def _cmd_check_identities(cfg):
     seed = _require_seed(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     kappa = cfg["kappa"]
     rows = []
     # Hadamard closed forms on random pairs
@@ -393,10 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
             if kind is list:
                 sp.add_argument(flag, action="append",
                                 help="point, repeatable (e.g. 0.5+1.2i)")
-            elif isinstance(kind, tuple):
-                sp.add_argument(flag, choices=kind)
             else:
-                sp.add_argument(flag, type=kind)
+                sp.add_argument(flag)
         sp.add_argument("--config", help="JSON config file")
     return ap
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 
-COINCIDENT_TOL = 1e-13
 TRIANGLE_TOL = 1e-7  # relative slack before a point counts as outside
 _SC_QUAD_ORDER = 48  # nodes of each vertex chart's Golub-Welsch Gauss-Jacobi rule
 
@@ -27,19 +26,9 @@ def require_upper_half_plane(z) -> None:
         raise InputError(f"point not in the open upper half-plane: {z!r}")
 
 
-def green_half_plane(z1: complex, z2: complex) -> float:
-    """Green's function of the upper half-plane, log|z1 - conj(z2)| - log|z1 - z2|."""
-    require_upper_half_plane(z1)
-    require_upper_half_plane(z2)
-    d = abs(z1 - z2)
-    scale = max(abs(z1), abs(z2), 1.0)
-    if d < COINCIDENT_TOL * scale:
-        raise InputError(f"coincident points {z1}, {z2}")
-    return math.log(abs(z1 - z2.conjugate())) - math.log(d)
-
-
 def green_half_plane_grid(z1, z2):
-    """Vectorized Green's function for broadcastable complex arrays (no domain checks)."""
+    """Half-plane Green's function log|z1 - conj z2| - log|z1 - z2|, elementwise
+    for broadcastable complex scalars or arrays; no domain checks."""
     z1 = np.asarray(z1)
     z2 = np.asarray(z2)
     return np.log(np.abs(z1 - np.conj(z2))) - np.log(np.abs(z1 - z2))
@@ -87,7 +76,9 @@ def _gauss_jacobi(n: int, e: float):
     t = 2.0 * np.arange(n) + e
     diag = e * e / (t * (t + 2.0))
     k, s = np.arange(1.0, n), t[1:]
-    off = 2.0 * k * (k + e) / (s * np.sqrt(s * s - 1.0))
+    s2m1 = s * s - 1.0
+    s2m1[:1] = (1.0 + e) * (3.0 + e)  # exact where s = 2 + e rounds to 1
+    off = 2.0 * k * (k + e) / (s * np.sqrt(s2m1))
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return nodes, 2.0 ** (e + 1.0) / (e + 1.0) * vecs[0] ** 2
 

@@ -21,6 +21,7 @@ from .errors import InputError, NumericalError
 
 H_FD_SCALE = 1e-5
 TOL_FD = 1e-6
+COINCIDENT_TOL = 1e-13  # relative distance below which two points coincide
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,10 @@ class FieldCoeffs:
         return (self.c1, self.c2)
 
     def second(self, z):
+        """Second derivative at z; a sigma-field's is the constant -2 sigma_1."""
         if self.kind == "b":
             return -4.0 / np.asarray(z, dtype=complex) ** 3 - 2.0 * float(self.c3)
-        return np.broadcast_to(
-            np.asarray(-2.0 * float(self.c2), dtype=complex), np.shape(z)
-        ) if np.shape(z) else complex(-2.0 * float(self.c2))
+        return -2.0 * float(self.c2)
 
     def as_float(self) -> "FieldCoeffs":
         return FieldCoeffs(self.kind, float(self.c1), float(self.c2), float(self.c3))
@@ -129,7 +129,7 @@ def lie_green_closed(v: FieldCoeffs, z1, z2):
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1.0)
-    close = np.flatnonzero(np.abs(z1 - z2) < 1e-13 * scale)
+    close = np.flatnonzero(np.abs(z1 - z2) < COINCIDENT_TOL * scale)
     if close.size:  # name the first pair only: the arrays may be long
         p1, p2 = (np.broadcast_to(z, scale.shape).flat[close[0]] for z in (z1, z2))
         raise InputError(f"coincident points {p1}, {p2} (flat index {close[0]})")

@@ -1,7 +1,7 @@
 """Time-discretized simulation of slit flows.
 
 Driving paths, one adaptive RK4 segment integrator for the chordal Loewner
-equation that serves both its forward solution and its inverse map (the
+maps g_t that serves both their forward solution and their inverses (the
 same equation run backward in time), and the vectorized
 Euler-Maruyama ensemble for the general flow SDE with derivative tracking
 through log w'.  The ensemble folds the Ito drifts of (w, log w')
@@ -54,46 +54,26 @@ class DrivingPath:
     times: np.ndarray
     values: np.ndarray
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
 
-
-def zero_driving(alpha: float, T: float, dt: float) -> DrivingPath:
-    """Noise-free driving (xi_t = alpha t), for deterministic checks."""
+def zero_driving(T: float, dt: float) -> DrivingPath:
+    """Noise-free driving (xi_t = 0), for deterministic checks."""
     n = _n_steps(T, dt)
-    times = dt * np.arange(n + 1)
-    return DrivingPath(dt, times, alpha * times)
+    return DrivingPath(dt, dt * np.arange(n + 1), np.zeros(n + 1))
 
 
-@dataclass
-class FlowPath:
-    """One trajectory of (w_t(z0), log w'_t(z0)) on the driving grid."""
-
-    w: np.ndarray
-    log_wp: np.ndarray
-
-    def last_alive_index(self) -> int:
-        return int(np.sum(np.isfinite(self.w.real))) - 1
-
-
-def _loewner_segment(g: complex, lp: complex, s: float, s_end: float,
-                     t0: float, dt: float, x0: float, x1: float):
-    """Adaptive RK4 for (g, log g') under dg/dt = 2/(g - xi_t) from time s
-    to s_end, forward or backward, inside the grid segment [t0, t0 + dt] on
-    which xi runs linearly from x0 to x1.
+def _loewner_segment(g: complex, s: float, s_end: float, t0: float,
+                     dt: float, x0: float, x1: float):
+    """Adaptive RK4 for dg/dt = 2/(g - xi_t) from time s to s_end, forward
+    or backward, inside the grid segment [t0, t0 + dt] on which xi runs
+    linearly from x0 to x1.
 
     Each step is clamped to C_SING |g - xi_s|^2, the distance to the driving
-    value at the starting time s.  Returns (g, log g', reached), where
-    reached is False when g came within EPS_SWALLOW of xi_s.
+    value at the starting time s.  Returns (g, reached), where reached is
+    False when g came within EPS_SWALLOW of xi_s.
     """
     def xi(t):
         fr = (t - t0) / dt
         return (1.0 - fr) * x0 + fr * x1
-
-    def rate(g, t):
-        z = g - xi(t)
-        return 2.0 / z, -2.0 / (z * z)
 
     xs = xi(s)
     sign = 1.0 if s_end >= s else -1.0
@@ -101,45 +81,41 @@ def _loewner_segment(g: complex, lp: complex, s: float, s_end: float,
     while sign * (s_end - t) > 1e-15:
         d = abs(g - xs)
         if d < EPS_SWALLOW:
-            return g, lp, False
+            return g, False
         h = sign * min(sign * (s_end - t), max(C_SING * d * d, 1e-12))
-        k1, l1 = rate(g, t)
-        k2, l2 = rate(g + h / 2 * k1, t + h / 2)
-        k3, l3 = rate(g + h / 2 * k2, t + h / 2)
-        k4, l4 = rate(g + h * k3, t + h)
+        k1 = 2.0 / (g - xi(t))
+        k2 = 2.0 / (g + h / 2 * k1 - xi(t + h / 2))
+        k3 = 2.0 / (g + h / 2 * k2 - xi(t + h / 2))
+        k4 = 2.0 / (g + h * k3 - xi(t + h))
         g = g + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        lp = lp + (h / 6) * (l1 + 2 * l2 + 2 * l3 + l4)
         t += h
-    return g, lp, True
+    return g, True
 
 
-def chordal_loewner(driving: DrivingPath, z0: complex) -> FlowPath:
+def chordal_loewner(driving: DrivingPath, z0: complex) -> np.ndarray:
     """Solve the chordal Loewner ODE dg/dt = 2/(g - xi_t) at a point of the
     upper half-plane.
 
-    The state (g, log g') is advanced segment by segment of the driving grid
-    by _loewner_segment.  Samples of w_t = g_t - xi_t and log g'_t are
-    returned on the grid.
+    g is advanced segment by segment of the driving grid by
+    _loewner_segment.  Returns the samples of w_t = g_t - xi_t on the grid,
+    from w_0 = z0 up to the last grid time before z0 is swallowed.
     """
     require_upper_half_plane(z0)
     times, xi = driving.times, driving.values
-    n = len(times) - 1
-    w_arr, lp_arr = np.full((2, n + 1), np.nan + 0j)
-    w_arr[0], lp_arr[0] = z0, 0.0
     # numpy complex scalars: numpy rounds complex division unlike Python's
     # complex type, and the solver's results are pinned to numpy's rounding
-    g, lp = np.complex128(z0), np.complex128(0)
-    for i in range(n):
-        g, lp, ok = _loewner_segment(g, lp, times[i], times[i + 1], times[i],
-                                     driving.dt, xi[i], xi[i + 1])
-        w = g - xi[i + 1]
-        if not ok or abs(w) < EPS_SWALLOW:
+    g = np.complex128(z0)
+    w = [g]
+    for i in range(len(times) - 1):
+        g, ok = _loewner_segment(g, times[i], times[i + 1], times[i],
+                                 driving.dt, xi[i], xi[i + 1])
+        w_next = g - xi[i + 1]
+        if not ok or abs(w_next) < EPS_SWALLOW:
             break
         if not g.imag >= 0.0:
             raise NumericalError("Loewner solution left its domain")
-        w_arr[i + 1] = w
-        lp_arr[i + 1] = lp
-    return FlowPath(w_arr, lp_arr)
+        w.append(w_next)
+    return np.array(w)
 
 
 def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:
@@ -149,15 +125,15 @@ def inverse_map(driving: DrivingPath, z0: complex, t: float) -> complex:
     half-plane.
     """
     require_upper_half_plane(z0)
-    if t < 0 or t > driving.horizon + 1e-12:
+    if t < 0 or t > driving.times[-1] + 1e-12:
         raise InputError(f"time {t} outside the driving horizon")
     times, xi = driving.times, driving.values
     # grid segment i spans [times[i], times[i + 1]]; t lies in segment k
     k = min(int(np.searchsorted(times, t)), len(times) - 1) - 1
     z, s = np.complex128(z0), t
     for i in range(k, -1, -1):
-        z, _, ok = _loewner_segment(z, 0j, s, times[i], times[i], driving.dt,
-                                    xi[i], xi[i + 1])
+        z, ok = _loewner_segment(z, s, times[i], times[i], driving.dt,
+                                 xi[i], xi[i + 1])
         if not ok or z.imag <= 0:
             raise NumericalError(
                 f"backward integration left the upper half-plane at t={t}"
@@ -272,11 +248,11 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     tile's later steps may come before the next tile's earlier ones.  Seed
     points must lie in the open upper half-plane within |z| < R_MAX
     (InputError otherwise); a path that leaves that radius later is a
-    NumericalError.
+    NumericalError.  ``rng`` is a seed, a SeedSequence or a Generator, as
+    np.random.default_rng takes it.
     """
     n_steps = _n_steps(T, dt)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(np.random.SeedSequence(rng))
+    rng = np.random.default_rng(rng)
     bm1, b0, b1 = model.b.coeffs
     s0, s1 = model.sigma.coeffs
     kappa = model.kappa

@@ -32,6 +32,7 @@ C_SING_STRIP = 5e-3  # cardy_zhan near-pole clamp: h <= C_SING_STRIP |Z|^2
 FLAT_RE = 4.0  # cardy_zhan steps are dt for |Re Z| <= FLAT_RE, e-fold beyond
 H_MAX = 0.05  # cap on those longer steps; a dt above it is kept as it is
 VERTEX_TOL = 0.95  # a stop with no exit probability above this is ambiguous
+X_FINITE = 700.0  # cardy_zhan's drift and step read Re Z clipped to this
 FIELD_BLOCK = 64  # run_coupling draws and evaluates the field in these blocks
 
 
@@ -302,22 +303,23 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
         raise InputError(f"cardy_zhan needs a positive finite t_max: {t_max}")
     sm = sc_map_build(kappa, alpha)
     oracle = tuple(float(p) for p in sm.exit_probabilities(z))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dt_, alpha_, sqk, t_max_, t_end, eps2, zero, half, two = (
+    rng = np.random.default_rng(seed)
+    dt_, alpha_, sqk, t_max_, t_end, eps2, zero, half, two, x_lo, x_hi = (
         np.array(c) for c in (dt, alpha, math.sqrt(kappa), t_max, t_max - 1e-12,
-                              EPS_SWALLOW * EPS_SWALLOW, 0.0, 0.5, 2.0))
+                              EPS_SWALLOW * EPS_SWALLOW, 0.0, 0.5, 2.0,
+                              -X_FINITE, X_FINITE))
 
     def scratch(m):
-        h, a, b = np.empty((3, m))
+        h, a, b, c = np.empty((4, m))
         mask, stop = np.empty((2, m), bool)
-        return h, a, b, mask, stop
+        return h, a, b, c, mask, stop
 
     # the driving noise is real, so the state splits into a noisy real part
     # and a noiseless imaginary part; real arrays halve the arithmetic cost
     x = np.full(n_paths, z.real)
     y = np.full(n_paths, z.imag)
     t = np.zeros(n_paths)
-    h, a, b, mask, stop = scratch(n_paths)
+    h, a, b, c, mask, stop = scratch(n_paths)
     stops = []
     classify_every = 8
     # a step is at most max(dt, H_MAX) and t rounds by at most ulp(t_max)
@@ -330,20 +332,23 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
         noise = rng.standard_normal((classify_every, x.size))
         near_end = t.max() + margin >= t_max
         for xi in noise:
-            _strip_step(x, y, dt_, h, a, mask)
+            # sinh and exp overflow past |x| ~ 710, where h = 0 would make NaN
+            # of their inf; there c stands in for x, which stays the true state
+            _min(_max(x, x_lo, out=c), x_hi, out=c)
+            _strip_step(c, y, dt_, h, a, mask)
             if near_end:
                 # the time-horizon clamp can round a hair negative once t ~ t_max
                 _max(_sub(t_max_, t, out=a), zero, out=a)
                 _min(h, a, out=h)
             # cancellation-free form of cosh(x) - cos(y); the naive difference
             # rounds to exactly zero once |Z| drops below ~1e-8
-            _sinh(_mul(x, half, out=a), out=a)
+            _sinh(_mul(c, half, out=a), out=a)
             _mul(a, a, out=a)
             _sin(_mul(y, half, out=b), out=b)
             _mul(b, b, out=b)
             _mul(_add(a, b, out=a), two, out=a)  # a = den
             # x += (sinh(x) / den - alpha) h - (sqrt(kappa) sqrt(h)) xi
-            _sub(_div(_sinh(x, out=b), a, out=b), alpha_, out=b)
+            _sub(_div(_sinh(c, out=b), a, out=b), alpha_, out=b)
             _add(x, _mul(b, h, out=b), out=x)
             _mul(_mul(_sqrt(h, out=b), sqk, out=b), xi, out=b)
             _sub(x, b, out=x)
@@ -359,7 +364,7 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
             stops.append(x[stop] + 1j * y[stop])
             keep = ~stop
             x, y, t = x[keep], y[keep], t[keep]
-            h, a, b, mask, stop = scratch(x.size)
+            h, a, b, c, mask, stop = scratch(x.size)
 
     bary = sm.exit_probabilities(np.concatenate(stops))
     top = bary.max(axis=1)
@@ -473,8 +478,7 @@ def _coupling_chunk(args):
     patch = patch_from_testfn(dom, bump)
     model = _family_model("chordal", 4.0, alpha)
     flow_ss, field_ss = chunk_seed.spawn(2)
-    res = simulate_ensemble(model, patch.centers, m, T, dt,
-                            np.random.default_rng(flow_ss))
+    res = simulate_ensemble(model, patch.centers, m, T, dt, flow_ss)
     flagged = int(np.count_nonzero(~res.alive.all(axis=1)))
     # at kappa = 4, mu = -2 bb = 0: u_T has no log w' term, value is all of it
     u_T = build_u(model).value(res.w) @ patch.weights

@@ -6,6 +6,7 @@ independent jobs out to a four-worker process pool; every job carries a
 fixed seed, so the suite is reproducible run to run.
 """
 
+import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -20,7 +21,7 @@ from slitflow.classify import (
     system_residuals,
 )
 from slitflow.cli import main as cli_main
-from slitflow.conformal import green_half_plane
+from slitflow.conformal import green_half_plane_grid
 from slitflow.fields import FieldCoeffs, lie_derivative, lie_green_closed
 from slitflow.flow import chordal_loewner, inverse_map, zero_driving
 from slitflow.gff import TestFn as Bump
@@ -96,7 +97,7 @@ def test_criterion_2_hadamard_identities():
         if abs(a - c) < 0.2:
             continue
         for v in (sig, b):
-            fd = complex(lie_derivative(v, green_half_plane, (a, c)))
+            fd = complex(lie_derivative(v, green_half_plane_grid, (a, c)))
             fd_max = max(fd_max, abs(fd - lie_green_closed(v, a, c)))
     ok = sig_max < 1e-12 and b_max < 1e-10 and fd_max < 1e-6
     _report(2, ok, f"sigma {sig_max:.2e}, b {b_max:.2e}, fd {fd_max:.2e}")
@@ -123,14 +124,16 @@ def test_criterion_3_generator_annihilation():
 
 
 def test_criterion_4_deterministic_loewner():
-    drv = zero_driving(0.0, 1.0, 1e-3)
+    drv = zero_driving(1.0, 1e-3)
     z = inverse_map(drv, 1j, 1.0)
     point_err = abs(z - 1j * math.sqrt(5.0))
-    path = chordal_loewner(drv, 100j)
-    g1 = path.w[path.last_alive_index()]
+    g1 = chordal_loewner(drv, 100j)[-1]
     cap_err = abs((g1 - 100j) * 100j - 2.0)
-    ok = point_err < 1e-8 and cap_err < 1e-3
-    _report(4, ok, f"point error {point_err:.2e}, capacity error {cap_err:.2e}")
+    # under zero driving the solver must give the closed form sqrt(z^2 + 4t)
+    exact_err = abs(g1 - cmath.sqrt((100j) ** 2 + 4.0))
+    ok = point_err < 1e-8 and cap_err < 1e-3 and exact_err < 1e-10
+    _report(4, ok, f"point error {point_err:.2e}, capacity error {cap_err:.2e}, "
+                   f"closed-form error {exact_err:.2e}")
 
 
 # -- 5: martingale drift tests ------------------------------------------------------

@@ -122,8 +122,14 @@ def test_bad_flag_value_exits_two(capsys):
     proc = _run(["simulate", "--seed", "1", "--T", "-0.5"])
     assert proc.returncode == 2
     # out-of-range values caught by the library, not the CLI, are usage
-    # errors too; in-process calls avoid an interpreter start-up per case
+    # errors too, and so are values of the wrong type or outside an
+    # option's choices, which the one conversion pass rejects; in-process
+    # calls avoid an interpreter start-up per case
     for argv in (
+        ["simulate", "--seed", "1", "--T", "abc"],
+        ["simulate", "--seed", "1", "--n-paths", "2.7"],
+        ["classify", "--format", "xml"],
+        ["simulate", "--seed", "1", "--geometry", "radial"],
         ["simulate", "--seed", "1", "--dt", "1", "--T", "0.1"],
         ["simulate", "--seed", "1", "--z=-1i"],
         ["cardy-zhan", "--seed", "1", "--kappa", "4"],
@@ -198,6 +204,16 @@ def test_angle_rounded_to_zero_exits_two_without_traceback(command):
             proc = _run([command, flag])
             assert proc.returncode == 0, proc.stderr
             assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--z=800+1.5i", "--kappa=1e9", "--kappa=3e16"])
+def test_cardy_zhan_ends_at_the_edge_of_float64(flag):
+    # a path past |Re Z| ~ 710 once stepped on an overflowing drift until
+    # its state was NaN, which no stop test holds on, and the run never ended
+    proc = _run(["cardy-zhan", "--seed", "1", "--n-paths", "20", flag],
+                timeout=60)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_bad_complex_exits_two():

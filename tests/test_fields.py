@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slitflow.conformal import green_half_plane
+from slitflow.conformal import green_half_plane_grid as green
 from slitflow.errors import InputError
 from slitflow.fields import (
     FieldCoeffs,
@@ -76,7 +76,7 @@ def test_lie_green_coincidence_error_names_one_pair():
 def test_full_b_field_matches_finite_difference_lie():
     b = FieldCoeffs("b", 0.12, -0.4, 0.21)
     z1, z2 = 0.9 + 0.8j, -0.4 + 1.6j
-    fd = lie_derivative(b, green_half_plane, (z1, z2))
+    fd = lie_derivative(b, green, (z1, z2))
     assert complex(fd).real == pytest.approx(
         lie_green_closed(b, z1, z2), abs=1e-6
     )
@@ -94,8 +94,8 @@ def test_green_symmetric_and_positive(x1, y1, x2, y2):
     z1, z2 = complex(x1, y1), complex(x2, y2)
     if abs(z1 - z2) < 1e-3:
         return
-    g12 = green_half_plane(z1, z2)
-    assert g12 == pytest.approx(green_half_plane(z2, z1), rel=1e-12, abs=1e-12)
+    g12 = green(z1, z2)
+    assert g12 == pytest.approx(green(z2, z1), rel=1e-12, abs=1e-12)
     assert g12 > 0.0
 
 
@@ -107,6 +107,6 @@ def test_green_symmetric_and_positive(x1, y1, x2, y2):
 def test_green_mobius_invariant(s, x, y1, y2):
     z1, z2 = 0.4 + 1j * y1, -0.9 + 1j * y2
     # z -> s z + x is an automorphism of the half-plane for s > 0
-    g = green_half_plane(z1, z2)
-    assert green_half_plane(s * z1 + x, s * z2 + x) == pytest.approx(g, rel=1e-10)
+    g = green(z1, z2)
+    assert green(s * z1 + x, s * z2 + x) == pytest.approx(g, rel=1e-10)
 

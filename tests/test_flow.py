@@ -36,24 +36,22 @@ def _brownian_driving(kappa, alpha, T, dt, seed):
 
 def test_zero_driving_chordal_matches_closed_form():
     # forward map: g_t(z) = sqrt(z^2 + 4t), so g_0.2(i) = i sqrt(0.2)
-    drv = zero_driving(0.0, 0.2, 1e-3)
-    path = chordal_loewner(drv, 1j)
-    w_T = path.w[path.last_alive_index()]
+    w_T = chordal_loewner(zero_driving(0.2, 1e-3), 1j)[-1]
     assert abs(w_T - 1j * math.sqrt(1.0 - 4.0 * 0.2)) < 1e-8
 
 
 def test_zero_driving_inverse_map_closed_form():
     # inverse map: g_t^{-1}(iy) = i sqrt(y^2 + 4t)
-    drv = zero_driving(0.0, 1.0, 1e-3)
-    z = inverse_map(drv, 1j, 1.0)
+    z = inverse_map(zero_driving(1.0, 1e-3), 1j, 1.0)
     assert abs(z - 1j * math.sqrt(1.0 + 4.0)) < 1e-8
 
 
 def test_inverse_map_round_trips_forward_map():
     drv = _brownian_driving(4.0, 0.0, 0.2, 1e-3, seed=9)
-    path = chordal_loewner(drv, 0.4 + 1.3j)
-    g_T = path.w[path.last_alive_index()] + drv.values[-1]
-    back = inverse_map(drv, g_T, drv.horizon)
+    w = chordal_loewner(drv, 0.4 + 1.3j)
+    assert len(w) == len(drv.times)
+    g_T = w[-1] + drv.values[-1]
+    back = inverse_map(drv, g_T, drv.times[-1])
     assert abs(back - (0.4 + 1.3j)) < 1e-6
 
 
@@ -67,16 +65,16 @@ def test_inverse_map_off_grid_matches_finer_grid(seed):
     fine_times = (drv.dt / 20) * np.arange(20 * (len(drv.times) - 1) + 1)
     fine = DrivingPath(drv.dt / 20, fine_times,
                        np.interp(fine_times, drv.times, drv.values))
-    path = chordal_loewner(drv, 0.5 + 1.2j)
-    assert path.last_alive_index() == len(drv.times) - 1
-    g_T = path.w[-1] + drv.values[-1]
+    w = chordal_loewner(drv, 0.5 + 1.2j)
+    assert len(w) == len(drv.times)
+    g_T = w[-1] + drv.values[-1]
     t = 0.25037
     ref = inverse_map(fine, g_T, t)
     assert abs(inverse_map(drv, g_T, t) - ref) < 1e-5 * abs(ref)
 
 
 def test_inverse_map_rejects_bad_start_and_time():
-    drv = zero_driving(0.0, 0.1, 1e-3)
+    drv = zero_driving(0.1, 1e-3)
     with pytest.raises(InputError, match="not in the open upper half-plane"):
         inverse_map(drv, 1.0 - 0.5j, 0.05)
     for t in (-0.01, 0.2):
@@ -85,28 +83,25 @@ def test_inverse_map_rejects_bad_start_and_time():
 
 
 def test_capacity_normalization_far_point():
-    drv = zero_driving(0.0, 1.0, 1e-3)
-    path = chordal_loewner(drv, 100j)
-    w_T = path.w[path.last_alive_index()]
+    w_T = chordal_loewner(zero_driving(1.0, 1e-3), 100j)[-1]
     assert abs((w_T - 100j) * 100j - 2.0) < 1e-3
 
 
 def test_chordal_loewner_with_noise_keeps_half_plane():
     drv = _brownian_driving(6.0, 0.0, 0.5, 1e-3, seed=11)
-    path = chordal_loewner(drv, 0.5 + 1.2j)
-    live = path.w[: path.last_alive_index() + 1]
-    assert np.all(live.imag > 0)
+    w = chordal_loewner(drv, 0.5 + 1.2j)
+    assert np.all(w.imag > 0)
 
 
 def test_driving_path_shape_and_interp():
     drv = _brownian_driving(4.0, 0.5, 0.2, 1e-2, seed=3)
-    assert drv.horizon == pytest.approx(0.2)
+    assert drv.times[-1] == pytest.approx(0.2)
     assert drv.values[0] == 0.0
     with pytest.raises(InputError, match="need 0 < dt <= T < inf"):
-        zero_driving(0.0, 1.0, 2.0)
+        zero_driving(1.0, 2.0)
     # a step that does not divide the horizon would silently stop short of T
     with pytest.raises(InputError, match="does not divide T"):
-        zero_driving(0.0, 0.1, 0.07)
+        zero_driving(0.1, 0.07)
 
 
 def test_ensemble_rejects_lower_half_plane():
@@ -132,10 +127,12 @@ def test_ensemble_reproducible_and_stays_in_half_plane():
     model = _chordal_model(4.0, 0.0)
     pts = np.array([0.5 + 1.0j, -0.4 + 1.5j])
     a = simulate_ensemble(model, pts, 32, 0.1, 1e-3, 42)
-    b = simulate_ensemble(model, pts, 32, 0.1, 1e-3, 42)
-    assert np.array_equal(a.w, b.w)
-    assert np.array_equal(a.log_wp, b.log_wp)
     assert np.all(a.w.imag > 0)
+    # a seed, its SeedSequence and a Generator made from it give one stream
+    for rng in (42, np.random.SeedSequence(42), np.random.default_rng(42)):
+        b = simulate_ensemble(model, pts, 32, 0.1, 1e-3, rng)
+        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.log_wp, b.log_wp)
 
 
 def test_ensemble_seed_changes_output():
@@ -319,6 +316,5 @@ def test_ensemble_matches_scalar_integrator_statistics():
     T, dt = 0.05, 1e-3
     res = simulate_ensemble(model, np.array([1j]), 4000, T, dt, 21)
     drv_mean = np.mean(res.w[:, 0])
-    det = chordal_loewner(zero_driving(0.0, T, dt), 1j)
-    det_T = det.w[det.last_alive_index()]
+    det_T = chordal_loewner(zero_driving(T, dt), 1j)[-1]
     assert abs(drv_mean - det_T) < 0.05

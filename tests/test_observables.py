@@ -69,10 +69,10 @@ def test_u_process_zero_noise_is_constant_at_kappa4():
     # axis arg w stays pi/2 exactly
     fam = {f.name: f for f in enumerate_families(4.0)}["chordal-drift"]
     u = build_u(fam.instantiate(0.0, None))
-    path = chordal_loewner(zero_driving(0.0, 0.2, 1e-3), 1j)
-    n = path.last_alive_index()
-    # u_t as martingale_suite evaluates it: u(w_t) + mu Im log w'_t
-    vals = u.value(path.w[: n + 1]) + u.mu * np.imag(path.log_wp[: n + 1])
+    # u_t as martingale_suite evaluates it is u(w_t) + mu Im log w'_t, and
+    # mu = 0 at kappa = 4
+    assert u.mu == 0
+    vals = u.value(chordal_loewner(zero_driving(0.2, 1e-3), 1j))
     assert np.allclose(vals, vals[0], atol=1e-9)
 
 
