@@ -1,9 +1,9 @@
 """Classification of coupled slit flows.
 
 Solves the four-equation linear system tying the b coefficients to
-(kappa, sigma, alpha, beta), enumerates the coupled families, builds the
-harmonic observable u by partial fractions, and verifies the generator
-annihilation and the b-sigma compatibility relation.
+(kappa, sigma, alpha, beta), enumerates the coupled families and their
+round trip through it, builds the harmonic observable u by partial fractions,
+and checks the generator annihilation and the b-sigma relation to IDENTITY_TOL.
 
 The only irrational quantity entering the system is B := beta*sqrt(kappa),
 so the system is written in B and solved in exact rational arithmetic: a
@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .fields import FieldCoeffs, eval_field, eval_field_prime
+
+IDENTITY_TOL = 1e-8  # gate of check_annihilation and check_bsigma
 
 
 @dataclass(frozen=True)
@@ -202,6 +204,19 @@ def enumerate_families(kappa) -> list:
             if name != "radial6-drift" or k == 6]
 
 
+def roundtrip_residual(spec: FamilySpec, alpha, B) -> Fraction:
+    """Largest |residual|, in Fractions, over the solver's own solution, the
+    family's exact b from coefficients(), and solved b - family b where the
+    solution is unique.  It is exactly 0 for a right family."""
+    b, al, Bc = spec.coefficients(alpha, B)
+    k, s0, s1 = spec.kappa, spec.sigma.c1, spec.sigma.c2
+    sol = solve_system(k, s0, s1, al, B=Bc)
+    errs = [*sol.residuals, *system_residuals(k, s0, s1, al, Bc, b)]
+    if sol.status == "unique":
+        errs += [x - y for x, y in zip(sol.b.coeffs, b.coeffs)]
+    return max(abs(e) for e in errs)
+
+
 @dataclass(frozen=True)
 class HarmonicU:
     """Harmonic observable u(z) = Im[sum c_j log(z - rho_j) + d z] + const.
@@ -300,31 +315,18 @@ def build_u(model: FlowModel) -> HarmonicU:
     )
 
 
-def lie_b_u(model: FlowModel, u: HarmonicU, z):
-    """Closed-form Lie derivative of u along b (additive order mu)."""
-    b = model.b
-    return np.imag(
-        eval_field(b, z) * u.holo_prime(z) + u.mu * eval_field_prime(b, z)
-    )
-
-
-def lie_sigma2_u(model: FlowModel, u: HarmonicU, z):
-    """Second Lie derivative of u along sigma (the first one is a scalar field)."""
-    s = model.sigma
-    z = np.asarray(z, dtype=complex)
-    sp = eval_field_prime(s, z)
-    ss = s.second(z)
-    g_prime = sp * u.holo_prime(z) + eval_field(s, z) * u.holo_second(z) + u.mu * ss
-    return np.imag(eval_field(s, z) * g_prime)
-
-
-def check_annihilation(model: FlowModel, u: HarmonicU,
-                       samples: Sequence[complex]) -> float:
-    """Largest residual of (-L_b + (kappa/2) L_sigma^2) u over the samples."""
+def check_annihilation(model: FlowModel, samples: Sequence[complex]) -> float:
+    """Largest residual of (-L_b + (kappa/2) L_sigma^2) u over the samples,
+    for u = build_u(model).  L_v u = Im[v F' + mu v'] in additive order mu;
+    L_sigma u is a scalar field, so L_sigma^2 u = Im[sigma (sigma F' + mu sigma')']."""
     z = np.asarray(samples, dtype=complex)
     if np.any(z.imag <= 0):
         raise InputError("samples must lie in the upper half-plane")
-    res = -lie_b_u(model, u, z) + 0.5 * model.kappa * lie_sigma2_u(model, u, z)
+    u, b, s = build_u(model), model.b, model.sigma
+    lie_b = np.imag(eval_field(b, z) * u.holo_prime(z) + u.mu * eval_field_prime(b, z))
+    g_prime = (eval_field_prime(s, z) * u.holo_prime(z)
+               + eval_field(s, z) * u.holo_second(z) + u.mu * s.second(z))
+    res = -lie_b + 0.5 * model.kappa * np.imag(eval_field(s, z) * g_prime)
     return float(np.max(np.abs(res)))
 
 

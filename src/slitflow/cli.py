@@ -22,15 +22,14 @@ import numpy as np
 
 from . import __version__
 from .classify import (
-    build_u,
+    IDENTITY_TOL,
     check_annihilation,
     check_bsigma,
     enumerate_families,
-    solve_system,
-    system_residuals,
+    roundtrip_residual,
 )
 from .errors import InputError, SlitflowError
-from .fields import FieldCoeffs, lie_green_closed
+from .fields import HADAMARD_TOL, FieldCoeffs, hadamard_residual
 from .flow import simulate_ensemble
 from .gff import TestFn
 from .observables import (
@@ -194,19 +193,12 @@ def _cmd_classify(cfg):
         except SlitflowError as exc:
             rows.append({"family": spec.name, "note": str(exc)})
             continue
-        k, s0, s1 = spec.kappa, spec.sigma.c1, spec.sigma.c2
-        sol = solve_system(k, s0, s1, al, B=B)
-        # the family's own b must solve the system, and be its unique
-        # solution; all in Fractions, so a right b leaves every error 0
-        errs = [*sol.residuals, *system_residuals(k, s0, s1, al, B, b)]
-        if sol.status == "unique":
-            errs += [x - y for x, y in zip(sol.b.coeffs, b.coeffs)]
-        resid = max(abs(e) for e in errs)
+        resid = roundtrip_residual(spec, cfg["alpha"], B_CATALOGUE)
         ok = ok and resid == 0
         rows.append({
             "family": spec.name,
             "b_m1": float(b.c1), "b_0": float(b.c2), "b_1": float(b.c3),
-            "sigma_0": float(s0), "sigma_1": float(s1),
+            "sigma_0": float(spec.sigma.c1), "sigma_1": float(spec.sigma.c2),
             "alpha": float(al), "B": float(B),
             "roundtrip_residual": float(resid),
             "passed": resid == 0,
@@ -214,42 +206,37 @@ def _cmd_classify(cfg):
     return rows, ok
 
 
+def _gated(check, value, tol):
+    return {"check": check, "value": value, "tol": tol, "passed": value < tol}
+
+
 def _cmd_check_identities(cfg):
     seed = _require_seed(cfg)
     rng = np.random.default_rng(seed)
-    kappa = cfg["kappa"]
     rows = []
     # Hadamard closed forms on random pairs
     n = cfg["n_pairs"]
     z1 = rng.uniform(-3, 3, n) + 1j * rng.uniform(0.2, 3, n)
     z2 = rng.uniform(-3, 3, n) + 1j * rng.uniform(0.2, 3, n)
-    sig_f = FieldCoeffs("sigma", 0.3, -0.2)
-    b_f = FieldCoeffs("b", 0.1, -0.4, 0.2)
-    sig_res = float(np.max(np.abs(lie_green_closed(sig_f, z1, z2))))
-    b_res = float(np.max(np.abs(lie_green_closed(b_f, z1, z2)
-                                - 4.0 * np.imag(1 / z1) * np.imag(1 / z2))))
-    rows.append({"check": "lie_sigma_green", "value": sig_res,
-                 "tol": 1e-12, "passed": sig_res < 1e-12})
-    rows.append({"check": "lie_b_green", "value": b_res,
-                 "tol": 1e-10, "passed": b_res < 1e-10})
+    for check, v in (("lie_sigma_green", FieldCoeffs("sigma", 0.3, -0.2)),
+                     ("lie_b_green", FieldCoeffs("b", 0.1, -0.4, 0.2))):
+        res = float(np.max(hadamard_residual(v, z1, z2)))
+        rows.append(_gated(check, res, HADAMARD_TOL[v.kind]))
     # annihilation and the b-sigma relation per family
     pts = rng.uniform(-2.5, 2.5, 100) + 1j * rng.uniform(0.3, 3, 100)
-    for spec in enumerate_families(kappa):
+    for spec in enumerate_families(cfg["kappa"]):
         try:
             model = spec.instantiate(cfg["alpha"], B_CATALOGUE)
-            u = build_u(model)
+            ann = check_annihilation(model, pts)
         except SlitflowError as exc:
             # a family that degenerates at this kappa: a note-only row, as
             # classify writes
             rows.append({"check": f"annihilation-{spec.name}",
                          "note": str(exc)})
             continue
-        ann = check_annihilation(model, u, pts)
-        bs = check_bsigma(model, pts)
-        rows.append({"check": f"annihilation-{spec.name}", "value": ann,
-                     "tol": 1e-8, "passed": ann < 1e-8})
-        rows.append({"check": f"bsigma-{spec.name}", "value": bs,
-                     "tol": 1e-8, "passed": bs < 1e-8})
+        rows.append(_gated(f"annihilation-{spec.name}", ann, IDENTITY_TOL))
+        rows.append(_gated(f"bsigma-{spec.name}", check_bsigma(model, pts),
+                           IDENTITY_TOL))
     return rows, all(r["passed"] for r in rows if "passed" in r)
 
 

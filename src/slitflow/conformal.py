@@ -17,6 +17,7 @@ from .errors import InputError, NumericalError
 
 TRIANGLE_TOL = 1e-7  # relative slack before a point counts as outside
 _SC_QUAD_ORDER = 48  # nodes of each vertex chart's Golub-Welsch Gauss-Jacobi rule
+KAPPA_MAX = 1e11  # past it the oracle drifts from its limit and then fails
 
 
 def require_upper_half_plane(z) -> None:
@@ -101,11 +102,11 @@ class ScMap:
     with exp_one = -4/kappa and exp_zero = -1 + 2(1+alpha)/kappa, principal
     branches throughout.  ``vertices`` (A, B, C) = (h(1), h(inf), h(0)) have
     angles pi(1 + exp_one), pi(1 + exp_inf), pi(1 + exp_zero), each in
-    (0, pi) as kappa > 4 and |alpha| < 1 (InputError where float64 rounds
-    an exponent to -1, as at kappa = 5e16), and come from Euler beta
-    integrals (by lgamma); h itself is a Gauss-Jacobi sum in the chart of
-    the nearest vertex, with a _SC_QUAD_ORDER-point Golub-Welsch rule per
-    vertex.
+    (0, pi) as kappa > 4 and |alpha| < 1 (InputError above KAPPA_MAX, and
+    where float64 rounds an exponent to -1, as at kappa = 5e16), and come
+    from Euler beta integrals (by lgamma); h itself is a Gauss-Jacobi sum in
+    the chart of the nearest vertex, with a _SC_QUAD_ORDER-point Golub-Welsch
+    rule per vertex.
     """
 
     kappa: float
@@ -129,6 +130,8 @@ class ScMap:
                                       self.exp_inf)):
             raise InputError("kappa and alpha give a triangle angle of 0 "
                              "in float64")
+        if self.kappa > KAPPA_MAX:
+            raise InputError(f"kappa must not exceed KAPPA_MAX = {KAPPA_MAX:g}")
 
         # Raw vertices from Euler beta integrals of h' with unit prefactor,
         # h(1) = 0.  B is reached along (1, inf), C along (1, 0).

@@ -22,6 +22,7 @@ from .errors import InputError, NumericalError
 H_FD_SCALE = 1e-5
 TOL_FD = 1e-6
 COINCIDENT_TOL = 1e-13  # relative distance below which two points coincide
+HADAMARD_TOL = {"sigma": 1e-12, "b": 1e-10}  # gates of hadamard_residual
 
 
 @dataclass(frozen=True)
@@ -136,3 +137,12 @@ def lie_green_closed(v: FieldCoeffs, z1, z2):
     v1, v2 = eval_field(v, z1), eval_field(v, z2)
     return np.real(v1 / (z1 - np.conj(z2)) + v2 / (z2 - np.conj(z1))
                    - (v1 - v2) / (z1 - z2))
+
+
+def hadamard_residual(v: FieldCoeffs, z1, z2):
+    """|lie_green_closed(v, z1, z2) - its Hadamard value|, elementwise: the
+    value is 0 for sigma-fields and 4 Im(1/z1) Im(1/z2) for b-fields."""
+    lie = lie_green_closed(v, z1, z2)
+    if v.kind == "b":
+        lie = lie - 4.0 * np.imag(1 / z1) * np.imag(1 / z2)
+    return np.abs(lie)

@@ -369,7 +369,8 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     bary = sm.exit_probabilities(np.concatenate(stops))
     top = bary.max(axis=1)
     mc = tuple(float(p) for p in bary.mean(axis=0))
-    se = tuple(math.sqrt(p * (1.0 - p) / n_paths) for p in mc)
+    # a barycentric within TRIANGLE_TOL of 0 may be negative, so may its mean
+    se = tuple(math.sqrt(max(p * (1.0 - p), 0.0) / n_paths) for p in mc)
     return CardyZhanResult(
         n_paths, mc, se, oracle,
         float(np.mean(top <= VERTEX_TOL)), float(np.mean(1.0 - top)),

@@ -14,15 +14,21 @@ from fractions import Fraction
 import numpy as np
 
 from slitflow.classify import (
-    build_u,
+    IDENTITY_TOL,
     check_annihilation,
+    check_bsigma,
     enumerate_families,
-    solve_system,
-    system_residuals,
+    roundtrip_residual,
 )
 from slitflow.cli import main as cli_main
 from slitflow.conformal import green_half_plane_grid
-from slitflow.fields import FieldCoeffs, lie_derivative, lie_green_closed
+from slitflow.fields import (
+    HADAMARD_TOL,
+    FieldCoeffs,
+    hadamard_residual,
+    lie_derivative,
+    lie_green_closed,
+)
 from slitflow.flow import chordal_loewner, inverse_map, zero_driving
 from slitflow.gff import TestFn as Bump
 from slitflow.observables import (
@@ -59,17 +65,8 @@ def test_criterion_1_classification_roundtrip():
     families = 0
     for kappa in (2, 3, 4, 5, 6):
         for spec in enumerate_families(Fraction(kappa)):
-            b, alpha, B = spec.coefficients(Fraction(1, 3), Fraction(2, 9))
-            sol = solve_system(
-                Fraction(kappa), spec.sigma.c1, spec.sigma.c2, alpha, B=B
-            )
-            assert sol.status in ("unique", "free"), spec.name
-            if sol.status == "unique":
-                assert sol.b.coeffs == b.coeffs, spec.name
-            direct = system_residuals(
-                Fraction(kappa), spec.sigma.c1, spec.sigma.c2, alpha, B, b
-            )
-            worst = max(worst, *(abs(r) for r in (*sol.residuals, *direct)))
+            worst = max(worst, roundtrip_residual(spec, Fraction(1, 3),
+                                                  Fraction(2, 9)))
             families += 1
     radial = [s.name for s in enumerate_families(6.0)]
     assert "radial6-drift" in radial and families >= 21
@@ -87,11 +84,9 @@ def test_criterion_2_hadamard_identities():
     z2 = rng.uniform(-3, 3, 1000) + 1j * rng.uniform(0.2, 3, 1000)
     sig = FieldCoeffs("sigma", 0.31, -0.17)
     b = FieldCoeffs("b", 0.12, -0.4, 0.21)
-    sig_max = max(abs(lie_green_closed(sig, a, c)) for a, c in zip(z1, z2))
-    b_max = max(
-        abs(lie_green_closed(b, a, c) - 4.0 * (1 / a).imag * (1 / c).imag)
-        for a, c in zip(z1, z2)
-    )
+    # pair by pair: one batched call would move the sigma figure at round-off
+    sig_max, b_max = (max(float(hadamard_residual(v, a, c)) for a, c in zip(z1, z2))
+                      for v in (sig, b))
     fd_max = 0.0
     for a, c in zip(z1[:100], z2[:100]):
         if abs(a - c) < 0.2:
@@ -99,7 +94,8 @@ def test_criterion_2_hadamard_identities():
         for v in (sig, b):
             fd = complex(lie_derivative(v, green_half_plane_grid, (a, c)))
             fd_max = max(fd_max, abs(fd - lie_green_closed(v, a, c)))
-    ok = sig_max < 1e-12 and b_max < 1e-10 and fd_max < 1e-6
+    ok = (sig_max < HADAMARD_TOL["sigma"] and b_max < HADAMARD_TOL["b"]
+          and fd_max < 1e-6)
     _report(2, ok, f"sigma {sig_max:.2e}, b {b_max:.2e}, fd {fd_max:.2e}")
 
 
@@ -109,15 +105,13 @@ def test_criterion_2_hadamard_identities():
 def test_criterion_3_generator_annihilation():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2.5, 2.5, 100) + 1j * rng.uniform(0.3, 3.0, 100)
-    worst = 0.0
-    checked = 0
-    for kappa in (3.0, 4.0, 6.0):
-        for spec in enumerate_families(kappa):
-            model = spec.instantiate(0.3, 0.2)
-            worst = max(worst, check_annihilation(model, build_u(model), pts))
-            checked += 1
-    ok = worst < 1e-8
-    _report(3, ok, f"{checked} families, max residual {worst:.2e}")
+    models = [spec.instantiate(0.3, 0.2) for kappa in (3.0, 4.0, 6.0)
+              for spec in enumerate_families(kappa)]
+    worst = max(check_annihilation(m, pts) for m in models)
+    worst_bs = max(check_bsigma(m, pts) for m in models)
+    ok = worst < IDENTITY_TOL and worst_bs < IDENTITY_TOL
+    _report(3, ok, f"{len(models)} families, max residual {worst:.2e}, "
+                   f"b-sigma {worst_bs:.2e}")
 
 
 # -- 4: deterministic Loewner flow -------------------------------------------------
@@ -212,20 +206,29 @@ def test_criterion_8_hitting_probabilities():
         results = list(pool.map(_cz_job, jobs))
     ok = True
     worst_err = worst_z = worst_amb = worst_share = 0.0
+    zs = []  # per job, the signed (MC - oracle)/se of (swallow, right, left)
     for (kappa, alpha, z, _), res in zip(jobs, results):
         ok = ok and res.passed
         worst_err = max(worst_err, res.max_abs_err)
-        worst_z = max(worst_z, *(abs(m - o) / s for m, o, s
-                                 in zip(res.mc, res.oracle, res.se)))
+        zs.append([(m - o) / s for m, o, s in zip(res.mc, res.oracle, res.se)])
+        worst_z = max(worst_z, *map(abs, zs[-1]))
         worst_amb = max(worst_amb, res.ambiguous_frac)
         worst_share = max(worst_share, res.oracle_share)
         if not res.passed:
             print(f"  fail: k={kappa} a={alpha} z={z} "
                   f"mc={res.mc} oracle={res.oracle} amb={res.ambiguous_frac:.3f}")
+    # a bias small at each point but of one sign at all of them shows in
+    # the pooled sum over the points: per component, |sum z| / sqrt(9) < 3
+    pooled = [sum(col) / math.sqrt(len(jobs)) for col in zip(*zs)]
+    ok = ok and all(abs(p) < 3.0 for p in pooled)
+    # reported only: the kappa = 6 swallow figure, where the clamp bias sits
+    k6 = [zj[0] for (kappa, *_), zj in zip(jobs, zs) if kappa == 6.0]
     _report(8, ok, f"9 points, max |MC-oracle| {worst_err:.4f}, "
                    f"max |MC-oracle|/se {worst_z:.2f}, max ambiguous "
                    f"{worst_amb:.4f}, max oracle share {worst_share:.4f}, "
-                   f"oracle residuals < 1e-8")
+                   f"oracle residuals < 1e-8, pooled z (swallow, right, left) "
+                   f"{pooled[0]:+.2f} {pooled[1]:+.2f} {pooled[2]:+.2f}, "
+                   f"kappa 6 swallow {sum(k6) / math.sqrt(len(k6)):+.2f}")
 
 
 # -- 9: byte-identical reruns ------------------------------------------------------------

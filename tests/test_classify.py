@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slitflow.classify import (
+    IDENTITY_TOL,
     build_u,
     check_annihilation,
     check_bsigma,
     enumerate_families,
+    roundtrip_residual,
     solve_system,
-    system_residuals,
 )
 from slitflow.errors import InputError
 
@@ -74,12 +75,8 @@ def test_exact_coefficient_formulas(kappa):
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_solve_system_roundtrip_exact(kappa):
     for spec in enumerate_families(kappa):
-        b, alpha, B = spec.coefficients(Fraction(1, 3), Fraction(2, 9))
-        res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
-        assert res.status in ("unique", "free")
-        assert all(r == 0 for r in res.residuals)
-        direct = system_residuals(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B, b)
-        assert all(r == 0 for r in direct)
+        res = roundtrip_residual(spec, Fraction(1, 3), Fraction(2, 9))
+        assert isinstance(res, Fraction) and res == 0, spec.name
 
 
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan, math.inf])
@@ -119,12 +116,8 @@ def test_float_kappa_near_six_solves_exactly():
         b, alpha, B = spec.coefficients(0.3, 0.5)
         res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
         assert res.status == "unique", spec.name
-        assert res.b.coeffs == b.coeffs, spec.name
-        direct = system_residuals(
-            spec.kappa, spec.sigma.c1, spec.sigma.c2, alpha, B, b
-        )
-        for r in (*res.residuals, *direct):
-            assert isinstance(r, Fraction) and r == 0, spec.name
+        resid = roundtrip_residual(spec, 0.3, 0.5)
+        assert isinstance(resid, Fraction) and resid == 0, spec.name
 
 
 def test_cft_params_identities():
@@ -149,8 +142,8 @@ SAMPLE_POINTS = (
 def test_generator_annihilates_u(kappa):
     for spec in enumerate_families(kappa):
         model = spec.instantiate(0.3, 0.2 * math.sqrt(kappa))
-        res = check_annihilation(model, build_u(model), SAMPLE_POINTS)
-        assert res < 1e-8, (spec.name, res)
+        res = check_annihilation(model, SAMPLE_POINTS)
+        assert res < IDENTITY_TOL, (spec.name, res)
 
 
 @pytest.mark.parametrize("kappa", [3.0, 4.0, 6.0])
@@ -158,7 +151,7 @@ def test_bsigma_consistency(kappa):
     for spec in enumerate_families(kappa):
         model = spec.instantiate(0.3, 0.2 * math.sqrt(kappa))
         res = check_bsigma(model, SAMPLE_POINTS)
-        assert res < 1e-8, (spec.name, res)
+        assert res < IDENTITY_TOL, (spec.name, res)
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,13 +167,7 @@ def test_solve_system_roundtrips_random_exact_parameters(num, den, knum):
     for spec in enumerate_families(kappa):
         if spec.parameter != "alpha":
             continue
-        b, alpha, B = spec.coefficients(al, None)
-        res = solve_system(kappa, spec.sigma.c1, spec.sigma.c2, alpha, B=B)
-        assert res.status in ("unique", "free")
-        direct = system_residuals(
-            kappa, spec.sigma.c1, spec.sigma.c2, alpha, B, b
-        )
-        assert all(r == 0 for r in direct)
+        assert roundtrip_residual(spec, al, None) == 0, spec.name
 
 
 def test_u_value_matches_closed_form_chordal():

@@ -192,7 +192,8 @@ def test_huge_alpha_exits_without_traceback(command, code):
 @pytest.mark.parametrize("command", ["sc-residual", "cardy-zhan"])
 def test_angle_rounded_to_zero_exits_two_without_traceback(command):
     # kappa = 5e16 and alpha = 1 - 2^-53 pass the range checks, but float64
-    # rounds a triangle angle to 0; kappa = 3e16 and alpha = 1 - 2^-52 do not
+    # rounds a triangle angle to 0; alpha = 1 - 2^-52 does not, and kappa =
+    # 3e16 does not either, but it lies above KAPPA_MAX
     extra = ["--seed", "1", "--n-paths", "20"] if command == "cardy-zhan" else []
     for flag in ("--kappa=5e16", "--alpha=0.9999999999999999"):
         proc = _run([command, flag] + extra)
@@ -200,19 +201,25 @@ def test_angle_rounded_to_zero_exits_two_without_traceback(command):
         assert "Traceback" not in proc.stderr
         assert "triangle angle of 0" in proc.stderr
     if command == "sc-residual":
-        for flag in ("--kappa=3e16", "--alpha=0.9999999999999998"):
-            proc = _run([command, flag])
-            assert proc.returncode == 0, proc.stderr
-            assert "Traceback" not in proc.stderr
+        proc = _run([command, "--kappa=3e16"])
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+        proc = _run([command, "--alpha=0.9999999999999998"])
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("flag", ["--z=800+1.5i", "--kappa=1e9", "--kappa=3e16"])
 def test_cardy_zhan_ends_at_the_edge_of_float64(flag):
     # a path past |Re Z| ~ 710 once stepped on an overflowing drift until
-    # its state was NaN, which no stop test holds on, and the run never ended
+    # its state was NaN, which no stop test holds on, and the run never ended;
+    # kappa = 3e16 now lies above KAPPA_MAX and stops before the loop
     proc = _run(["cardy-zhan", "--seed", "1", "--n-paths", "20", flag],
                 timeout=60)
-    assert proc.returncode in (0, 1), proc.stderr
+    if flag == "--kappa=3e16":
+        assert proc.returncode == 2 and "config error" in proc.stderr, proc.stderr
+    else:
+        assert proc.returncode in (0, 1), proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slitflow.conformal import (
+    KAPPA_MAX,
     _SC_QUAD_ORDER,
     ScMap,
     _gauss_jacobi,
@@ -124,18 +125,25 @@ def test_sc_map_rejects_bad_parameters():
                          (6.0, -0.9999999999999999), (math.inf, 0.0)):
         with pytest.raises(InputError, match="triangle angle of 0"):
             ScMap(kappa, alpha)
+    # past KAPPA_MAX the oracle drifts from its large-kappa limit, then fails
+    ScMap(KAPPA_MAX, 0.0)
+    with pytest.raises(InputError, match="KAPPA_MAX"):
+        ScMap(math.nextafter(KAPPA_MAX, math.inf), 0.0)
     sm = sc_map_build(6.0, 0.0)
     with pytest.raises(InputError, match="not in the closed strip"):
         sm(1.0 + 4.0j)
 
 
 def test_exit_probabilities_one_ulp_inside_the_domain():
-    # at kappa = 3e16 the exponent at 0 is one ulp above -1; the Gauss-Jacobi
-    # rule's first entry was 0/0 there, and the oracle NaN
+    # at kappa = 6, alpha = 1 - 2^-52 the exponent at infinity is one ulp
+    # above -1; the Gauss-Jacobi rule's first entry was 0/0 there, and the
+    # oracle NaN
+    sm = ScMap(6.0, 1.0 - 2.0 ** -52)
+    assert sm.exp_inf == np.nextafter(-1.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            p = ScMap(3e16, 0.0).exit_probabilities(0.5 + 3j)
+            p = sm.exit_probabilities(0.5 + 3j)
         except NumericalError:
             return
     assert np.all(np.isfinite(p))

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from slitflow.conformal import green_half_plane_grid as green
 from slitflow.errors import InputError
 from slitflow.fields import (
+    HADAMARD_TOL,
     FieldCoeffs,
     eval_field,
     eval_field_prime,
+    hadamard_residual,
     lie_derivative,
     lie_green_closed,
 )
@@ -44,16 +46,18 @@ def test_eval_field_prime_by_finite_differences():
 def test_lie_green_sigma_vanishes_on_random_pairs():
     pts = random_half_plane_points(200)
     s = FieldCoeffs("sigma", 0.37, -0.21)
-    vals = [lie_green_closed(s, z1, z2) for z1, z2 in zip(pts[::2], pts[1::2])]
-    assert max(abs(v) for v in vals) < 1e-12
+    assert hadamard_residual(s, pts[::2], pts[1::2]).max() < HADAMARD_TOL["sigma"]
 
 
 def test_lie_green_b_closed_form_on_random_pairs():
     pts = random_half_plane_points(200)
     b = FieldCoeffs("b", 0.12, -0.4, 0.21)
-    for z1, z2 in zip(pts[::2], pts[1::2]):
+    res = hadamard_residual(b, pts[::2], pts[1::2])
+    for z1, z2, r in zip(pts[::2], pts[1::2], res):
         expect = 4.0 * (1.0 / z1).imag * (1.0 / z2).imag
-        assert lie_green_closed(b, z1, z2) == pytest.approx(expect, abs=1e-10)
+        lie = lie_green_closed(b, z1, z2)
+        assert lie == pytest.approx(expect, abs=HADAMARD_TOL["b"])
+        assert r == pytest.approx(abs(lie - expect), abs=1e-15)
 
 
 def test_lie_green_coincident_rejected():
