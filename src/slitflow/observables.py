@@ -290,8 +290,7 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
     compacted, passes every constant as a 0-d array, and clamps the step
     to t_max only in the sweeps that can reach it.
     """
-    if kappa <= 4:
-        raise InputError("swallowing needs kappa > 4")
+    sm = sc_map_build(kappa, alpha)
     z = complex(z)
     if not (math.isfinite(z.real) and 0.0 < z.imag < math.pi):
         raise InputError("seed point must be inside the strip")
@@ -301,7 +300,6 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
         raise InputError(f"cardy_zhan needs a positive finite dt: {dt}")
     if not 0.0 < t_max < math.inf:
         raise InputError(f"cardy_zhan needs a positive finite t_max: {t_max}")
-    sm = sc_map_build(kappa, alpha)
     oracle = tuple(float(p) for p in sm.exit_probabilities(z))
     rng = np.random.default_rng(seed)
     dt_, alpha_, sqk, t_max_, t_end, eps2, zero, half, two, x_lo, x_hi = (

@@ -191,32 +191,29 @@ def test_huge_alpha_exits_without_traceback(command, code):
 
 @pytest.mark.parametrize("command", ["sc-residual", "cardy-zhan"])
 def test_angle_rounded_to_zero_exits_two_without_traceback(command):
-    # kappa = 5e16 and alpha = 1 - 2^-53 pass the range checks, but float64
-    # rounds a triangle angle to 0; alpha = 1 - 2^-52 does not, and kappa =
-    # 3e16 does not either, but it lies above KAPPA_MAX
+    # float64 rounds a triangle angle to 0 at kappa = 5e16 and at alpha =
+    # 1 - 2^-53; at alpha = 1 - 2^-52 the angle is 1 ulp, and at kappa =
+    # 3e16 it is 1e-16 pi: all four lie below ANGLE_MIN
     extra = ["--seed", "1", "--n-paths", "20"] if command == "cardy-zhan" else []
-    for flag in ("--kappa=5e16", "--alpha=0.9999999999999999"):
+    for flag in ("--kappa=5e16", "--alpha=0.9999999999999999",
+                 "--alpha=0.9999999999999998", "--kappa=3e16"):
         proc = _run([command, flag] + extra)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "triangle angle of 0" in proc.stderr
-    if command == "sc-residual":
-        proc = _run([command, "--kappa=3e16"])
-        assert proc.returncode == 2, proc.stderr
-        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
-        proc = _run([command, "--alpha=0.9999999999999998"])
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "config error" in proc.stderr
+        assert "smallest triangle angle" in proc.stderr
 
 
-@pytest.mark.parametrize("flag", ["--z=800+1.5i", "--kappa=1e9", "--kappa=3e16"])
-def test_cardy_zhan_ends_at_the_edge_of_float64(flag):
+@pytest.mark.parametrize("flags", ["--z=800+1.5i", "--kappa=1e8 --dt=0.01",
+                                   "--kappa=3e16"])
+def test_cardy_zhan_ends_at_the_edge_of_float64(flags):
     # a path past |Re Z| ~ 710 once stepped on an overflowing drift until
-    # its state was NaN, which no stop test holds on, and the run never ended;
-    # kappa = 3e16 now lies above KAPPA_MAX and stops before the loop
-    proc = _run(["cardy-zhan", "--seed", "1", "--n-paths", "20", flag],
+    # its state was NaN, which no stop test holds on, and the run never
+    # ended; kappa = 1e8 with dt = 0.01 still carries paths past 710 (to
+    # 1303 at seed 1), and kappa = 3e16 is refused before the loop
+    proc = _run(["cardy-zhan", "--seed", "1", "--n-paths", "20", *flags.split()],
                 timeout=60)
-    if flag == "--kappa=3e16":
+    if flags == "--kappa=3e16":
         assert proc.returncode == 2 and "config error" in proc.stderr, proc.stderr
     else:
         assert proc.returncode in (0, 1), proc.stderr

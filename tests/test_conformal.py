@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slitflow.conformal import (
-    KAPPA_MAX,
+    ANGLE_MIN,
     _SC_QUAD_ORDER,
     ScMap,
     _gauss_jacobi,
@@ -41,6 +41,10 @@ def test_barycentric_identity_at_vertices_and_center():
     assert barycentric(sum(tri) / 3.0, tri) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     with pytest.raises(NumericalError, match="outside triangle"):
         barycentric(-1.0 - 1.0j, tri)
+    # barycentrics do not grow with the triangle, so neither does the slack:
+    # 1e-6 outside the long edge of a needle with |C| = 1e6 is outside
+    with pytest.raises(NumericalError, match="outside triangle"):
+        barycentric(-1e-6 + 5e5j, (0.0, 1.0, 1e6j))
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,38 +119,44 @@ def test_exit_probabilities_sum_to_one_and_degenerate_limits():
     assert p_right[1] > 0.99
 
 
+def _angle_edges(theta):
+    """(kappa, alpha) whose smallest triangle angle is theta pi, one pair per
+    way the triangle degenerates: kappa -> 4+, kappa -> inf, alpha -> -1 and
+    alpha -> +1."""
+    return [(4.0 / (1.0 - theta), 0.0), (2.0 / theta, 0.0),
+            (6.0, -(1.0 - 3.0 * theta)), (6.0, 1.0 - 3.0 * theta)]
+
+
 def test_sc_map_rejects_bad_parameters():
     with pytest.raises(InputError, match="kappa must exceed 4"):
         ScMap(4.0, 0.0)
-    with pytest.raises(InputError, match=r"alpha must lie in \(-1, 1\)"):
-        ScMap(6.0, 1.0)
-    # inside those ranges float64 can still round an angle exponent to -1
-    for kappa, alpha in ((5e16, 0.0), (6.0, 0.9999999999999999),
-                         (6.0, -0.9999999999999999), (math.inf, 0.0)):
-        with pytest.raises(InputError, match="triangle angle of 0"):
+    # one rule refuses |alpha| >= 1, an angle exponent that float64 rounds
+    # to -1 and every angle below ANGLE_MIN pi
+    for kappa, alpha in ((6.0, 1.0), (6.0, -1.0), (6.0, math.nan),
+                         (5e16, 0.0), (6.0, 0.9999999999999999),
+                         (6.0, -0.9999999999999999), (math.inf, 0.0),
+                         (math.nan, 0.0)):
+        with pytest.raises(InputError, match="smallest triangle angle"):
             ScMap(kappa, alpha)
-    # past KAPPA_MAX the oracle drifts from its large-kappa limit, then fails
-    ScMap(KAPPA_MAX, 0.0)
-    with pytest.raises(InputError, match="KAPPA_MAX"):
-        ScMap(math.nextafter(KAPPA_MAX, math.inf), 0.0)
+    # on each side of the rule's edge, in each way the triangle degenerates
+    for (kappa, alpha), (kappa_out, alpha_out) in zip(
+            _angle_edges(1.01 * ANGLE_MIN), _angle_edges(0.99 * ANGLE_MIN)):
+        ScMap(kappa, alpha)
+        with pytest.raises(InputError, match="below ANGLE_MIN"):
+            ScMap(kappa_out, alpha_out)
     sm = sc_map_build(6.0, 0.0)
     with pytest.raises(InputError, match="not in the closed strip"):
         sm(1.0 + 4.0j)
 
 
 def test_exit_probabilities_one_ulp_inside_the_domain():
-    # at kappa = 6, alpha = 1 - 2^-52 the exponent at infinity is one ulp
-    # above -1; the Gauss-Jacobi rule's first entry was 0/0 there, and the
-    # oracle NaN
-    sm = ScMap(6.0, 1.0 - 2.0 ** -52)
-    assert sm.exp_inf == np.nextafter(-1.0, 0.0)
+    # one ulp above -1 the Gauss-Jacobi rule's first entry was 0/0, since
+    # s = 2 + e rounds to 1; the map refuses such exponents now, and the
+    # exact (1 + e)(3 + e) keeps the rule free of cancellation at small angles
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            p = sm.exit_probabilities(0.5 + 3j)
-        except NumericalError:
-            return
-    assert np.all(np.isfinite(p))
+        nodes, weights = _gauss_jacobi(_SC_QUAD_ORDER, math.nextafter(-1.0, 0.0))
+    assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
 
 
 def test_sc_map_rejects_nan_real_part_without_warning():
@@ -246,3 +256,55 @@ def test_vertex_c_matches_the_betaln_route(kappa, alpha):
     c_mod = math.exp(betaln(sm.exp_zero + 1.0, sm.exp_one + 1.0))
     c_ref = -c_mod * cmath.exp(1j * math.pi * sm.exp_one) / b_raw
     assert abs(sm.vertices[2] - c_ref) < 1e-14
+
+
+CARDY_MAPS = ((6.0, 0.0), (6.0, 0.3), (8.0, 0.2))
+# criterion 8's points and cardy-zhan's default, in the strip
+CARDY_POINTS = (0.5 + 0.8j, -0.3 + 1.5708j, 1.0 + 2.2j, 1.5708j)
+
+
+@pytest.mark.parametrize("kappa,alpha", CARDY_MAPS)
+def test_gauss_jacobi_charts_differentiate_to_the_closed_form(kappa, alpha):
+    # a 4th-order difference of the charts' h against the closed-form h' at
+    # sc-residual's points, criterion 8's points (as e^z) and one point per
+    # chart (at 1, at 0, at infinity)
+    sm = sc_map_build(kappa, alpha)
+    points = [0.5 + 0.5j, 2j, *(cmath.exp(z) for z in CARDY_POINTS[:3]),
+              1.5 + 1.5j, -0.5 + 1.0j, 5.0 + 2.0j]
+    for w in points:
+        step = 3e-3 * max(1.0, abs(w))
+        fd = (-sm.h(w + 2 * step) + 8 * sm.h(w + step) - 8 * sm.h(w - step)
+              + sm.h(w - 2 * step)) / (12 * step)
+        assert abs(fd / sm.h_prime(w) - 1.0) < 1e-9, w
+
+
+def _mpmath_exit_probabilities(kappa, alpha, z):
+    """Barycentrics of h(e^z) in the triangle (0, B, C), at 60 digits, with h
+    from Gauss's hypergeometric function and the vertices from Euler's beta."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        k, al = mp.mpf(kappa), mp.mpf(alpha)
+        th1, th0, th_inf = (k - 4) / k, 2 * (1 + al) / k, 2 * (1 - al) / k
+        w = mp.exp(mp.mpc(z))
+        h = (w - 1) ** th1 / th1 * mp.hyp2f1(1 - th0, th1, th1 + 1, 1 - w)
+        B = mp.beta(th_inf, th1)
+        C = -mp.exp(1j * mp.pi * (th1 - 1)) * mp.beta(th0, th1)
+        det = B.real * C.imag - B.imag * C.real
+        b = (h.real * C.imag - h.imag * C.real) / det
+        c = (B.real * h.imag - B.imag * h.real) / det
+        return np.array([float(1 - b - c), float(b), float(c)])
+
+
+@pytest.mark.parametrize("kappa,alpha,tol", [
+    *((k, a, 1e-14) for k, a in CARDY_MAPS),
+    *((k, a, 2e-8) for k, a in _angle_edges(1.01 * ANGLE_MIN)),
+])
+def test_exit_probabilities_match_the_hypergeometric_reference(kappa, alpha, tol):
+    # the oracle's error is round-off on criterion 8's maps and about 1e-8
+    # at the admissibility rule's edge
+    sm = sc_map_build(kappa, alpha)
+    for z in CARDY_POINTS:
+        err = np.abs(sm.exit_probabilities(z) - _mpmath_exit_probabilities(
+            kappa, alpha, z)).max()
+        assert err < tol, (z, err)

@@ -4,7 +4,9 @@ Over the whole admissible box (kappa log-uniform in (4, 1e300], alpha up to
 +-(1 - 2^-52), points near both strip edges and near the pole, |Re z| up to
 800), every call of cardy_zhan, bpz_sc_residual and the oracle
 ScMap(...).exit_probabilities returns finite values or raises InputError or
-NumericalError, within EXAMPLE_SECONDS and without a warning.
+NumericalError, within EXAMPLE_SECONDS and without a warning.  Wherever the
+oracle answers at (alpha, z) and at the mirrored (-alpha, -conj z), the two
+answers agree to MIRROR_TOL once right and left are swapped.
 """
 
 import math
@@ -14,12 +16,15 @@ import warnings
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from slitflow.conformal import KAPPA_MAX, ScMap
+from slitflow.conformal import ANGLE_MIN, ScMap
 from slitflow.errors import InputError, NumericalError
 from slitflow.observables import bpz_sc_residual, cardy_zhan
 
+from test_conformal import _angle_edges
+
 EXAMPLE_SECONDS = 1.0  # per call; a run that outlives it counts as a hang
 ALPHA_EDGE = 1.0 - 2.0 ** -52
+MIRROR_TOL = 1e-7  # the oracle's error is about 1e-8 at ANGLE_MIN
 
 
 class Hang(Exception):
@@ -30,19 +35,23 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-# log-uniform over the box, with extra weight below KAPPA_MAX, where the
-# calls run instead of raising InputError at once
+# log-uniform over the box, with extra weight below 2 / ANGLE_MIN, where the
+# calls at alpha = 0 run instead of raising InputError at once
 KAPPAS = st.one_of(
-    st.sampled_from([math.nextafter(4.0, 5.0), KAPPA_MAX,
-                     math.nextafter(KAPPA_MAX, math.inf), 1e300]),
+    st.sampled_from([math.nextafter(4.0, 5.0), 1e300]),
     _log_uniform(4.0, 1e300).filter(lambda k: 4.0 < k <= 1e300),
-    _log_uniform(4.0, KAPPA_MAX).filter(lambda k: 4.0 < k <= KAPPA_MAX),
+    _log_uniform(4.0, 2.0 / ANGLE_MIN).filter(lambda k: 4.0 < k),
 )
 ALPHAS = st.one_of(
     st.sampled_from([0.0, ALPHA_EDGE, -ALPHA_EDGE]),
     st.integers(1, 52).flatmap(
         lambda j: st.sampled_from([1.0 - 2.0 ** -j, -(1.0 - 2.0 ** -j)])),
     st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+# the admissibility rule's edges, just inside and just outside, in each regime
+PARAMS = st.one_of(
+    st.sampled_from(_angle_edges(1.01 * ANGLE_MIN) + _angle_edges(0.99 * ANGLE_MIN)),
+    st.tuples(KAPPAS, ALPHAS),
 )
 RE = st.floats(-800.0, 800.0)
 GAP = _log_uniform(1e-15, 1.0)  # distance to an edge of the strip
@@ -75,21 +84,26 @@ def _ends_cleanly(fn):
         signal.signal(signal.SIGALRM, previous)
 
 
-# every path stops where the left barycentric is -3e-17, so is the mean of
-# the stops, and its standard error once took the square root of p(1 - p) < 0
-@example(kappa=math.nextafter(4.0, 5.0), alpha=0.0,
-         z=41.145910114158255 + 2.141592653589793j, n_paths=1, dt=1e-3,
-         t_max=1.0, seed=4813)
+# the path stops where the swallow barycentric is -1.6e-16, so is the mean
+# of the stops, and its standard error once took the square root of
+# p(1 - p) < 0
+@example(params=(4.001, -0.5), z=37.178531808867916 + 2.7295856192804857j,
+         n_paths=1, dt=1e-3, t_max=1.0, seed=4813)
 @settings(max_examples=60, deadline=None)
-@given(kappa=KAPPAS, alpha=ALPHAS, z=POINTS, n_paths=st.integers(1, 10),
+@given(params=PARAMS, z=POINTS, n_paths=st.integers(1, 10),
        dt=_log_uniform(1e-3, 0.1), t_max=_log_uniform(1e-3, 1.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_strip_and_oracle_end_cleanly_on_the_admissible_box(
-        kappa, alpha, z, n_paths, dt, t_max, seed):
+        params, z, n_paths, dt, t_max, seed):
+    kappa, alpha = params
     values = []
     p = _ends_cleanly(lambda: ScMap(kappa, alpha).exit_probabilities(z))
     if p is not None:
         values += list(p)
+        mirror = _ends_cleanly(lambda: ScMap(kappa, -alpha).exit_probabilities(
+            complex(-z.real, z.imag)))
+        if mirror is not None:
+            assert np.abs(p - mirror[[0, 2, 1]]).max() < MIRROR_TOL, (p, mirror)
     res = _ends_cleanly(lambda: bpz_sc_residual(kappa, alpha, z))
     if res is not None:
         values += [res["map_residual"], res["vertex_residual"]]
