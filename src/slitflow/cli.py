@@ -33,6 +33,7 @@ from .fields import HADAMARD_TOL, FieldCoeffs, hadamard_residual
 from .flow import simulate_ensemble
 from .gff import TestFn
 from .observables import (
+    GEOMETRIES,
     _family_model,
     bpz_sc_residual,
     cardy_zhan,
@@ -41,7 +42,6 @@ from .observables import (
 )
 
 FORMATS = ("csv", "ndjson", "json")
-GEOMETRIES = ("chordal", "dipolar")
 B_CATALOGUE = 0.5  # B = beta sqrt(kappa) of the beta-families listed and checked
 POSITIVE = ("T", "dt", "t_max", "n_paths", "n_pairs", "n_samples", "threads")
 
@@ -343,12 +343,12 @@ COMMANDS = {
     }),
     "simulate": (_cmd_simulate, "flow ensemble dump", {
         "kappa": (float, 4.0), "alpha": (float, 0.0),
-        "geometry": (GEOMETRIES, "chordal"), "z": (list, ["1i"]),
+        "geometry": (tuple(GEOMETRIES), "chordal"), "z": (list, ["1i"]),
         "T": (float, 0.1), "dt": (float, 1e-3), "n_paths": (int, 8),
     }),
     "verify-martingales": (_cmd_verify_martingales, "drift-test suite", {
         "kappa": (float, 4.0), "alpha": (float, 0.0),
-        "geometry": (GEOMETRIES, "chordal"),
+        "geometry": (tuple(GEOMETRIES), "chordal"),
         "T": (float, 0.3), "dt": (float, 1e-4), "n_paths": (int, 10_000),
     }),
     "gff-couple": (_cmd_gff_couple, "flow/field coupling statistics", {

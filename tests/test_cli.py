@@ -220,6 +220,16 @@ def test_cardy_zhan_ends_at_the_edge_of_float64(flags):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_sc_residual_at_huge_z_is_an_error_not_nan():
+    # h' ~ |z|^(e0 + e1) underflows to 0 near |z| = 1e231 at kappa 6, and
+    # z + 2h overflows at 1.79e308: both once printed a NaN row and a warning
+    for z in ("1e300i", "1.79e308i"):
+        proc = _run(["sc-residual", f"--z={z}"])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_bad_complex_exits_two():
     proc = _run(["simulate", "--seed", "1", "--z", "zebra"])
     assert proc.returncode == 2

@@ -89,6 +89,10 @@ def _ends_cleanly(fn):
 # p(1 - p) < 0
 @example(params=(4.001, -0.5), z=37.178531808867916 + 2.7295856192804857j,
          n_paths=1, dt=1e-3, t_max=1.0, seed=4813)
+# far out h' underflows to 0, and at 1.79e308 z + 2h overflows as well: the
+# residuals were NaN with a RuntimeWarning
+@example(params=(6.0, 0.0), z=1e300j, n_paths=1, dt=1e-3, t_max=1.0, seed=0)
+@example(params=(6.0, 0.0), z=1.79e308j, n_paths=1, dt=1e-3, t_max=1.0, seed=0)
 @settings(max_examples=60, deadline=None)
 @given(params=PARAMS, z=POINTS, n_paths=st.integers(1, 10),
        dt=_log_uniform(1e-3, 0.1), t_max=_log_uniform(1e-3, 1.0),

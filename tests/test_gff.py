@@ -86,6 +86,28 @@ def test_cell_log_avg_matches_monte_carlo():
     assert cell_log_avg(hx, hy) == pytest.approx(mc, abs=2e-3)
 
 
+def _mpmath_cell_log_avg(hx, hy):
+    """The mean of log|z1 - z2| over one cell as a 2-d integral at 20 digits:
+    the coordinate differences have triangular densities on [0, h]."""
+    import mpmath as mp
+
+    with mp.workdps(20):
+        a, b = mp.mpf(hx), mp.mpf(hy)
+        return float(mp.quad(
+            lambda x, y: 2 * (a - x) * (b - y) * mp.log(x * x + y * y),
+            [0, a], [0, b]) / (a * a * b * b))
+
+
+@pytest.mark.parametrize("hx, hy", [(DOM.hx, DOM.hy), (1.0, 0.01)])
+def test_cell_log_avg_matches_the_mpmath_reference(hx, hy):
+    assert abs(cell_log_avg(hx, hy) - _mpmath_cell_log_avg(hx, hy)) < 1e-14
+
+
+def test_cell_log_avg_of_the_unit_square_is_the_closed_form():
+    exact = math.log(2.0) / 3.0 + math.pi / 3.0 - 25.0 / 12.0
+    assert abs(cell_log_avg(1.0, 1.0) - exact) < 1e-15
+
+
 def test_energy_quadrature_matches_spectral():
     e_quad = energy_product(PATCH, PATCH, RectGreenEval(DOM))
     e_spec = BASIS.energy_spectral(PATCH)

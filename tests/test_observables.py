@@ -348,12 +348,12 @@ def test_coupling_chunk_blocks_match_one_shot_field():
     # from the same seeds as _coupling_chunk spawns them
     m, T, dt, bump = 130, 0.02, 1e-3, Bump(1.5j, 0.3)
     assert FIELD_BLOCK < m and m % FIELD_BLOCK
-    samples, flagged = _coupling_chunk(
-        (np.random.SeedSequence(42), m, T, dt, bump, 0.0))
     dom = RectDomain()
     basis = eigen_basis(dom)
     patch = patch_from_testfn(dom, bump)
     model = _family_model("chordal", 4.0, 0.0)
+    samples, flagged = _coupling_chunk((np.random.SeedSequence(42), m, T, dt,
+                                        model, basis, patch, build_u(model)))
     flow_ss, field_ss = np.random.SeedSequence(42).spawn(2)
     res = simulate_ensemble(model, patch.centers, m, T, dt,
                             np.random.default_rng(flow_ss))
@@ -368,10 +368,13 @@ def test_coupling_chunk_blocks_match_one_shot_field():
 def test_coupling_chunk_memory_is_bounded_by_the_block():
     # the sine tables are held one block at a time: about 26 MB here, where
     # every sample's tables at once would take 177 MB
+    dom = RectDomain()
+    model = _family_model("chordal", 4.0, 0.0)
+    job = (np.random.SeedSequence(3), 500, 0.05, 1e-3, model, eigen_basis(dom),
+           patch_from_testfn(dom, Bump(1.5j, 0.3)), build_u(model))
     tracemalloc.start()
     try:
-        _coupling_chunk((np.random.SeedSequence(3), 500, 0.05, 1e-3,
-                         Bump(1.5j, 0.3), 0.0))
+        _coupling_chunk(job)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
