@@ -12,7 +12,6 @@ float input enters as the binary fraction it stores.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .conformal import require_upper_half_plane
+from .errors import InputError
 from .fields import FieldCoeffs, eval_field, eval_field_prime
 
 IDENTITY_TOL = 1e-8  # gate of check_annihilation and check_bsigma
@@ -172,16 +172,17 @@ class FamilySpec:
         An alpha-family (drift) reads alpha and ignores B; a beta-family
         reads B = beta*sqrt(kappa) and ignores alpha.  A float parameter
         enters as the binary fraction it stores.  A coefficient too large
-        for a float (B = alpha^2 at |alpha| > 1.3e154) is an InputError.
+        for a float (B = alpha^2 at |alpha| > 1.3e154) is an InputError, and
+        so is a rule that divides by zero (the beta rules at kappa = 8).
         """
-        if self.parameter == "beta" and self.kappa == 8:
-            family = self.name.split("(")[0]
-            raise InputError(f"{family} degenerates at kappa = 8")
         p = Fraction(alpha if self.parameter == "alpha" else B)
-        b, al, Bc = FAMILIES[self.name][2](self.kappa, p)
         try:
+            b, al, Bc = FAMILIES[self.name][2](self.kappa, p)
             for c in (*b, al, Bc):
                 float(c)
+        except ZeroDivisionError:
+            family = self.name.split("(")[0]
+            raise InputError(f"{family} degenerates at kappa = {self.kappa}") from None
         except OverflowError:
             raise InputError(f"{self.name} coefficients overflow a float") from None
         return FieldCoeffs("b", *b), al, Bc
@@ -255,64 +256,36 @@ class HarmonicU:
         return total if total.shape else complex(total)
 
 
-def _sigma_roots(sigma: FieldCoeffs):
-    s0, s1 = float(sigma.c1), float(sigma.c2)
-    if s1 == 0.0:
-        if s0 == 0.0:
-            return []
-        return [complex(-1.0 / s0)]
-    disc = complex(s0 * s0 - 4.0 * s1)
-    r = cmath.sqrt(disc)
-    return [(-s0 + r) / (2.0 * s1), (-s0 - r) / (2.0 * s1)]
-
-
 def build_u(model: FlowModel) -> HarmonicU:
     """The harmonic observable of a coupled flow, by partial fractions.
 
     The holomorphic completion has derivative
     -a (2 + alpha z) / (z sigma(z)) + 2 bb sigma'(z)/sigma(z); the log
-    coefficients are its residues.  A root of sigma inside the upper
-    half-plane whose combined coefficient has a nonzero real part makes u
-    discontinuous there, which is reported as a branch obstruction.
+    coefficients are its residues.  Every row of FAMILIES has
+    sigma(z) = -(1 + s1 z^2): no zero for s1 = 0, else the zeros -+r for
+    s1 < 0 and +-ir for s1 > 0, r = |s1|^(-1/2).  At each zero
+    rho sigma'(rho) = 2, so its residue is -a (2 + alpha rho)/2 + 2 bb; at +ir
+    only the imaginary part is kept, since radial6-drift lives at kappa = 6,
+    where 2 bb = a and the real part is round-off.
     """
-    a = model.a
-    bb = model.bb
-    alpha = model.alpha
-    sigma = model.sigma
-    roots = _sigma_roots(sigma)
-    if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-12:
-        raise InputError(
-            "sigma has a double zero; u is not implemented for this degenerate class"
-        )
+    a, bb, alpha, s1 = model.a, model.bb, model.alpha, model.sigma.c2
+    zeros = ()
+    if s1:
+        r = abs(s1) ** -0.5
+        zeros = (-r, r) if s1 < 0 else (1j * r, -1j * r)
     # residue at 0 of -a(2 + alpha z)/(z sigma): -2a / sigma(0) = 2a
-    terms = [(0.0 + 0.0j, complex(2.0 * a))]
-    for rho in roots:
-        sp = eval_field_prime(sigma, rho)
-        c = -a * (2.0 + alpha * rho) / (rho * sp) + 2.0 * bb
-        if rho.imag > 1e-12:
-            if abs(c.real) > 1e-9:
-                raise NumericalError(
-                    "no continuous branch of u on the upper half-plane: root "
-                    f"{rho:.6g} carries log coefficient {c:.6g}"
-                )
+    terms = [(0j, complex(2.0 * a))]
+    for rho in zeros:
+        c = -a * (2.0 + alpha * rho) / 2.0 + 2.0 * bb
+        if rho.imag > 0:
             c = 1j * c.imag
-        elif abs(rho.imag) <= 1e-12:
-            rho = complex(rho.real, 0.0)
-            c = complex(c.real, c.imag if abs(c.imag) > 1e-12 else 0.0)
         if abs(c) > 1e-12:
-            terms.append((rho, c))
+            terms.append((complex(rho), complex(c)))
     # arg conventions of the closed forms: a term written as arg(x0 - z) for a
     # positive real root x0 equals arg(z - x0) - pi on the upper half-plane
-    const = -math.pi * sum(
-        c.real for rho, c in terms if rho.imag == 0.0 and rho.real > 0
-    )
-    lin = alpha * a if not roots else 0.0
-    return HarmonicU(
-        log_terms=tuple(terms),
-        lin_coef=lin,
-        const=const,
-        mu=-2.0 * bb,
-    )
+    const = -math.pi * sum(c.real for rho, c in terms if rho.real > 0)
+    return HarmonicU(log_terms=tuple(terms), lin_coef=0.0 if zeros else alpha * a,
+                     const=const, mu=-2.0 * bb)
 
 
 def check_annihilation(model: FlowModel, samples: Sequence[complex]) -> float:
@@ -320,8 +293,7 @@ def check_annihilation(model: FlowModel, samples: Sequence[complex]) -> float:
     for u = build_u(model).  L_v u = Im[v F' + mu v'] in additive order mu;
     L_sigma u is a scalar field, so L_sigma^2 u = Im[sigma (sigma F' + mu sigma')']."""
     z = np.asarray(samples, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise InputError("samples must lie in the upper half-plane")
+    require_upper_half_plane(z)
     u, b, s = build_u(model), model.b, model.sigma
     lie_b = np.imag(eval_field(b, z) * u.holo_prime(z) + u.mu * eval_field_prime(b, z))
     g_prime = (eval_field_prime(s, z) * u.holo_prime(z)
@@ -331,19 +303,16 @@ def check_annihilation(model: FlowModel, samples: Sequence[complex]) -> float:
 
 
 def check_bsigma(model: FlowModel, samples: Sequence[complex]) -> float:
-    """Largest residual of the b-sigma compatibility relation over the
-    samples away from the zeros of z (alpha z + 2)."""
+    """Largest residual of the b-sigma compatibility relation over samples
+    in the open upper half-plane, where z (alpha z + 2) has no zero."""
     z = np.asarray(samples, dtype=complex)
+    require_upper_half_plane(z)
     k, B = model.kappa, model.B
-    denom = z * (model.alpha * z + 2.0)
-    keep = np.abs(denom) > 1e-8
-    z = z[keep]
-    denom = denom[keep]
     b = eval_field(model.b, z)
     s = eval_field(model.sigma, z)
     bp = eval_field_prime(model.b, z)
     sp = eval_field_prime(model.sigma, z)
     # bb*sqrt(2 kappa) = kappa/2 - 2 exactly
     num = -k * s * s - B * z * z * s - (k / 2.0 - 2.0) * z * z * (bp * s - b * sp)
-    res = np.abs(b - num / denom)
-    return float(np.max(res)) if res.size else 0.0
+    res = np.abs(b - num / (z * (model.alpha * z + 2.0)))
+    return float(np.max(res))

@@ -82,7 +82,7 @@ def _loewner_segment(g: complex, s: float, s_end: float, t0: float,
         d = abs(g - xs)
         if d < EPS_SWALLOW:
             return g, False
-        h = sign * min(sign * (s_end - t), max(C_SING * d * d, 1e-12))
+        h = sign * min(sign * (s_end - t), C_SING * d * d)
         k1 = 2.0 / (g - xi(t))
         k2 = 2.0 / (g + h / 2 * k1 - xi(t + h / 2))
         k3 = 2.0 / (g + h / 2 * k2 - xi(t + h / 2))

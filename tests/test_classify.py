@@ -91,9 +91,10 @@ def test_degenerate_kappa_eight_raises():
     with pytest.raises(InputError,
                        match="parabolic-beta degenerates at kappa = 8"):
         fams["parabolic-beta"].coefficients(None, Fraction(1, 2))
-    with pytest.raises(InputError,
-                       match="hyperbolic-beta degenerates at kappa = 8"):
-        fams["hyperbolic-beta(+)"].coefficients(None, Fraction(1, 2))
+    for name in ("hyperbolic-beta(+)", "hyperbolic-beta(-)"):
+        with pytest.raises(InputError,
+                           match="hyperbolic-beta degenerates at kappa = 8"):
+            fams[name].coefficients(None, Fraction(1, 2))
 
 
 def test_kappa_six_free_families():
@@ -176,3 +177,40 @@ def test_u_value_matches_closed_form_chordal():
     u = build_u(model)
     z = 1j
     assert u.value(z) == pytest.approx(2.0 * model.a * np.pi / 2.0)
+
+
+@pytest.mark.parametrize("kappa", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("p", [0.3, -1.0])
+def test_build_u_residues_match_their_closed_forms(kappa, p):
+    # sigma = -(1 + s1 z^2) has zeros -+2 (s1 = -1/4) or +-2i (s1 = 1/4); the
+    # residues of -a (2 + alpha z)/(z sigma) + 2 bb sigma'/sigma, with
+    # the real part at 2i dropped and |c| <= 1e-12 left out.  An alpha-family
+    # reads p as alpha, a beta-family as B
+    for spec in enumerate_families(kappa):
+        m = spec.instantiate(p, p)
+        a, bb, al, s1 = m.a, m.bb, m.alpha, m.sigma.c2
+        expected = {0j: 2 * a}
+        if s1 < 0:
+            expected.update({-2 + 0j: 2 * bb - a + a * al,
+                             2 + 0j: 2 * bb - a - a * al})
+        elif s1 > 0:
+            expected.update({2j: -1j * a * al, -2j: 2 * bb - a + 1j * a * al})
+        expected = {rho: c for rho, c in expected.items() if abs(c) > 1e-12}
+        u = build_u(m)
+        got = dict(u.log_terms)
+        assert got.keys() == expected.keys(), spec.name
+        for rho, c in expected.items():
+            assert got[rho] == pytest.approx(c, rel=1e-12, abs=1e-15), \
+                (spec.name, rho)
+        c2 = 2 * bb - a - a * al if s1 < 0 else 0.0
+        assert u.const == pytest.approx(-math.pi * c2, rel=1e-12, abs=1e-14)
+        assert u.lin_coef == (al * a if s1 == 0 else 0.0)
+        assert u.mu == -2 * bb
+
+
+@pytest.mark.parametrize("check", [check_annihilation, check_bsigma])
+@pytest.mark.parametrize("z", [1.0 + 0j, 0.5 - 0.2j, complex(math.nan, 1.0)])
+def test_identity_checks_refuse_samples_off_the_upper_half_plane(check, z):
+    model = _families(4.0)["chordal-drift"].instantiate(0.3, None)
+    with pytest.raises(InputError, match="not in the open upper half-plane"):
+        check(model, [1j, z])
