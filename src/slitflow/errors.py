@@ -7,8 +7,8 @@ class SlitflowError(Exception):
 
 class InputError(SlitflowError):
     """An argument the computation does not accept: a parameter out of range,
-    a point outside its domain or near a branch point, a test-function
-    support outside the rectangle, or a bad config.  The CLI exits 2."""
+    a point outside its domain, a test-function support outside the
+    rectangle, or a bad config.  The CLI exits 2."""
 
 
 class NumericalError(SlitflowError):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .classify import FlowModel, build_u, enumerate_families
-from .conformal import green_half_plane_grid, sc_map_build
+from .conformal import green_half_plane_grid, require_upper_half_plane, sc_map_build
 from .errors import InputError, NumericalError
 from .flow import EPS_SWALLOW, simulate_ensemble
 from .gff import (
@@ -34,6 +34,7 @@ H_MAX = 0.05  # cap on those longer steps; a dt above it is kept as it is
 VERTEX_TOL = 0.95  # a stop with no exit probability above this is ambiguous
 X_FINITE = 700.0  # cardy_zhan's drift and step read Re Z clipped to this
 FIELD_BLOCK = 64  # run_coupling draws and evaluates the field in these blocks
+_CAUCHY_ROOTS = np.exp(2j * np.pi * np.arange(64) / 64)  # _cauchy_derivative's nodes
 
 
 # -- vertex observables along flows -------------------------------------------
@@ -385,44 +386,43 @@ def cardy_zhan(kappa: float, alpha: float, z: complex, n_paths: int = 20_000,
 # -- residual identities ---------------------------------------------------------
 
 
-def bpz_sc_residual(kappa: float, alpha: float, z: complex) -> dict:
-    """Residuals of the second-order ODE for the triangle map and its
-    vertex-observable counterpart.
+def _cauchy_derivative(f, z: complex) -> complex:
+    """f'(z) as the trapezoidal sum (1/(n r)) sum_k f(z + r e^(i t_k)) e^(-i t_k)
+    over n = 64 nodes on |w - z| = r = Im z / 2; f takes the node array.
+    Exponentially accurate where f's cuts lie on the real axis (Lyness & Moler 1967)."""
+    r = 0.5 * z.imag
+    return (f(z + r * _CAUCHY_ROOTS) / _CAUCHY_ROOTS).mean() / r
 
-    h''/h' is formed by a fourth-order finite difference of the closed-form
-    h' and compared with exp_one/(z-1) + exp_zero/z; the log-derivative of
-    the dipolar vertex observable is compared with its partial-fraction form,
-    whose exponents are the triangle map's.  The difference step is
-    1e-3 max(1, |z|); the check passes when both residuals are below 1e-8.
+
+def bpz_sc_residual(kappa: float, alpha: float, z: complex) -> dict:
+    """Residuals of the triangle map's second-order ODE, of its vertex
+    observable's, and of the oracle's Gauss-Jacobi charts, at z with Im z > 0.
+
+    Every derivative is `_cauchy_derivative`'s.  The map residual compares
+    h''/h' of the closed-form h' with exp_zero/z + exp_one/(z-1); the vertex
+    residual compares the dipolar vertex observable's log-derivative with its
+    partial fractions, whose exponents are the triangle map's; the chart
+    residual is |h_charts'/h' - 1|.  ``passed``: all three below 1e-8.
     """
     z = complex(z)
-    h = 1e-3 * max(1.0, abs(z))
-    if min(abs(z), abs(z - 1.0)) < 10 * h or abs(z + 1.0) < 10 * h:
-        raise InputError("evaluation point too close to a branch point")
+    require_upper_half_plane(z)
     sm = sc_map_build(kappa, alpha)
-
-    def fd_deriv(f, x):
-        return (
-            -f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)
-        ) / (12 * h)
-
-    def mhat_log(x):
-        return dipolar_vertex_log(kappa, alpha, 2.0 * x, 0.0)
-
-    # at huge |z| h' underflows to 0 and z + 2h overflows: NaN, not a warning
+    # far out h' underflows to 0 and the nodes overflow: NaN, not a warning
     with np.errstate(all="ignore"):
-        ratio = fd_deriv(sm.h_prime, z) / sm.h_prime(z)
-        res_map = abs(ratio - sm.h_prime_log_deriv(z))
-        closed_v = sm.exp_one / z + sm.exp_inf / (z - 1.0) + sm.exp_zero / (z + 1.0)
-        res_vertex = abs(fd_deriv(mhat_log, z) - closed_v)
-    if not (math.isfinite(res_map) and math.isfinite(res_vertex)):
+        hp = sm.h_prime(z)
+        res = {
+            "map_residual": abs(_cauchy_derivative(sm.h_prime, z) / hp
+                                - sm.h_prime_log_deriv(z)),
+            "vertex_residual": abs(_cauchy_derivative(
+                lambda x: dipolar_vertex_log(kappa, alpha, 2.0 * x, 0.0), z)
+                - sm.exp_one / z - sm.exp_inf / (z - 1.0) - sm.exp_zero / (z + 1.0)),
+            "chart_residual": abs(_cauchy_derivative(sm.h, z) / hp - 1.0),
+        }
+    res = {name: float(v) for name, v in res.items()}
+    if not all(map(math.isfinite, res.values())):
         raise NumericalError(f"ODE residuals at z = {z} are not finite in "
-                             f"float64: map {res_map}, vertex {res_vertex}")
-    return {
-        "map_residual": float(res_map),
-        "vertex_residual": float(res_vertex),
-        "passed": bool(res_map < 1e-8 and res_vertex < 1e-8),
-    }
+                             f"float64: {res}")
+    return {**res, "passed": all(v < 1e-8 for v in res.values())}
 
 
 # -- flow/field coupling ----------------------------------------------------------

@@ -226,7 +226,7 @@ def test_criterion_8_hitting_probabilities():
     _report(8, ok, f"9 points, max |MC-oracle| {worst_err:.4f}, "
                    f"max |MC-oracle|/se {worst_z:.2f}, max ambiguous "
                    f"{worst_amb:.4f}, max oracle share {worst_share:.4f}, "
-                   f"oracle residuals < 1e-8, pooled z (swallow, right, left) "
+                   f"oracle map, vertex and chart residuals < 1e-8, pooled z (swallow, right, left) "
                    f"{pooled[0]:+.2f} {pooled[1]:+.2f} {pooled[2]:+.2f}, "
                    f"kappa 6 swallow {sum(k6) / math.sqrt(len(k6)):+.2f}")
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, and rerun determinism."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -148,7 +149,8 @@ def test_bad_flag_value_exits_two(capsys):
         ["simulate", "--seed", "1", "--n-paths", "2",
          "--out", "/nonexistent/x.csv"],
         ["sc-residual", "--z", "1"],
-        ["sc-residual", "--z", "0.0001i"],
+        ["sc-residual", "--z=-3"],
+        ["sc-residual", "--z=0.5-0.1i"],
         ["gff-couple", "--seed", "1", "--n-samples", "10", "--T", "0.01",
          "--dt", "1e-3", "--radius", "0.01"],
         ["simulate", "--seed", "1", "--z", "nan+1i"],
@@ -222,7 +224,8 @@ def test_cardy_zhan_ends_at_the_edge_of_float64(flags):
 
 def test_sc_residual_at_huge_z_is_an_error_not_nan():
     # h' ~ |z|^(e0 + e1) underflows to 0 near |z| = 1e231 at kappa 6, and
-    # z + 2h overflows at 1.79e308: both once printed a NaN row and a warning
+    # the derivative rule's nodes overflow at 1.79e308: both once printed a
+    # NaN row and a warning
     for z in ("1e300i", "1.79e308i"):
         proc = _run(["sc-residual", f"--z={z}"])
         assert proc.returncode == 1, proc.stderr
@@ -324,6 +327,28 @@ def test_sc_residual_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "True" in out
+
+
+def test_sc_residual_near_a_branch_point_is_computed(capsys):
+    # the derivative rule's circle has radius Im z / 2, so any point with
+    # Im z > 0 is computable, however close it lies to 0, 1 or -1
+    assert main(["sc-residual", "--z", "0.0001i", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["re_z"], row["im_z"], row["passed"]) == (0.0, 1e-4, True)
+    for name in ("map_residual", "vertex_residual", "chart_residual"):
+        assert 0.0 <= row[name] < 1e-8, name
+
+
+def test_sc_residual_reads_the_charts_at_kappa_1e6():
+    # the chart residual differentiates the oracle's Gauss-Jacobi charts;
+    # at the default points it stays below the 1e-8 gate even at kappa 1e6
+    proc = _run(["sc-residual", "--kappa", "1e6"])
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(
+        line for line in proc.stdout.splitlines() if not line.startswith("#")))
+    assert [(r["re_z"], r["im_z"]) for r in rows] == [("0.5", "0.5"), ("0", "2")]
+    for r in rows:
+        assert float(r["chart_residual"]) < 1e-8 and r["passed"] == "True", r
 
 
 def test_check_identities_exits_zero(capsys):

@@ -18,6 +18,7 @@ from slitflow.conformal import (
     sc_map_build,
 )
 from slitflow.errors import InputError, NumericalError
+from slitflow.observables import _cauchy_derivative
 
 
 def test_green_value():
@@ -84,7 +85,16 @@ def test_sc_map_at_vertex_a_is_warning_free():
         assert sm.h(1.0) == sm.vertices[0]
 
 
-@pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2)])
+# where ScMap.h switches charts: |z| = 4 (inf vs one for Re z >= 1/2, inf vs
+# zero for Re z < 1/2) and Re z = 1/2 inside it (zero vs one)
+_ARC = 4.0 * np.exp(1j * np.linspace(0.01, math.pi - 0.01, 60))
+SEAMS = (("_h_from_inf", "_h_from_one", _ARC[_ARC.real >= 0.5]),
+         ("_h_from_inf", "_h_from_zero", _ARC[_ARC.real < 0.5]),
+         ("_h_from_zero", "_h_from_one", 0.5 + 1j * np.linspace(0.01, 3.95, 60)))
+
+
+@pytest.mark.parametrize("kappa,alpha", [(6.0, 0.0), (6.0, 0.3), (8.0, 0.2),
+                                         (1e6, 0.0), (4.0001, 0.0)])
 def test_sc_chart_patches_agree(kappa, alpha):
     sm = sc_map_build(kappa, alpha)
     # points near patch boundaries evaluated through different vertex charts
@@ -97,6 +107,14 @@ def test_sc_chart_patches_agree(kappa, alpha):
         assert num == pytest.approx(sm.h_prime(complex(z)), rel=5e-6)
         if v1 is not None:
             assert v1 == pytest.approx(direct, abs=1e-10)
+    # both charts that meet on a seam give one value there, relative to the
+    # triangle's diameter: h's origin is vertex A, and at kappa 1e6 the seams
+    # map within 3e-6 of it, so |h| is no scale for the difference
+    A, B, C = sm.vertices
+    diameter = max(abs(B - A), abs(C - A), abs(C - B))
+    for chart_a, chart_b, z in SEAMS:
+        diff = np.abs(getattr(sm, chart_a)(z) - getattr(sm, chart_b)(z))
+        assert diff.max() / diameter < 1e-13, (chart_a, chart_b)
 
 
 def test_sc_prime_log_deriv_partial_fractions():
@@ -265,17 +283,14 @@ CARDY_POINTS = (0.5 + 0.8j, -0.3 + 1.5708j, 1.0 + 2.2j, 1.5708j)
 
 @pytest.mark.parametrize("kappa,alpha", CARDY_MAPS)
 def test_gauss_jacobi_charts_differentiate_to_the_closed_form(kappa, alpha):
-    # a 4th-order difference of the charts' h against the closed-form h' at
-    # sc-residual's points, criterion 8's points (as e^z) and one point per
-    # chart (at 1, at 0, at infinity)
+    # the Cauchy-integral derivative of the charts' h against the closed-form
+    # h' at sc-residual's points, criterion 8's points (as e^z) and one point
+    # per chart (at 1, at 0, at infinity)
     sm = sc_map_build(kappa, alpha)
     points = [0.5 + 0.5j, 2j, *(cmath.exp(z) for z in CARDY_POINTS[:3]),
               1.5 + 1.5j, -0.5 + 1.0j, 5.0 + 2.0j]
     for w in points:
-        step = 3e-3 * max(1.0, abs(w))
-        fd = (-sm.h(w + 2 * step) + 8 * sm.h(w + step) - 8 * sm.h(w - step)
-              + sm.h(w - 2 * step)) / (12 * step)
-        assert abs(fd / sm.h_prime(w) - 1.0) < 1e-9, w
+        assert abs(_cauchy_derivative(sm.h, w) / sm.h_prime(w) - 1.0) < 1e-13, w
 
 
 def _mpmath_exit_probabilities(kappa, alpha, z):
