@@ -3,7 +3,8 @@
 Solves the four-equation linear system tying the b coefficients to
 (kappa, sigma, alpha, beta), enumerates the coupled families and their
 round trip through it, builds the harmonic observable u by partial fractions,
-and checks the generator annihilation and the b-sigma relation to IDENTITY_TOL.
+and checks the generator annihilation and the b-sigma relation from exact
+residual numerators, which read exactly 0 for a right family at any kappa.
 
 The only irrational quantity entering the system is B := beta*sqrt(kappa),
 so the system is written in B and solved in exact rational arithmetic: a
@@ -21,20 +22,18 @@ import numpy as np
 
 from .conformal import require_upper_half_plane
 from .errors import InputError
-from .fields import FieldCoeffs, eval_field, eval_field_prime
+from .fields import FieldCoeffs
 
 IDENTITY_TOL = 1e-8  # gate of check_annihilation and check_bsigma
 
 
 @dataclass(frozen=True)
 class FlowModel:
-    """One slit flow together with its coupled-modification data, in
-    floats; B is beta*sqrt(kappa), and kappa fixes the CFT constants
-    a = sqrt(2/kappa) and bb = sqrt(kappa/8) - a."""
+    """One slit flow and its coupled-modification data, in floats; kappa
+    fixes the CFT constants a = sqrt(2/kappa) and bb = sqrt(kappa/8) - a."""
 
     kappa: float
     alpha: float
-    B: float
     b: FieldCoeffs
     sigma: FieldCoeffs
 
@@ -189,10 +188,9 @@ class FamilySpec:
 
     def instantiate(self, alpha, B) -> FlowModel:
         """The float flow model; alpha and B are read as coefficients() reads them."""
-        b, al, Bc = self.coefficients(alpha, B)
+        b, al, _ = self.coefficients(alpha, B)
         return FlowModel(kappa=float(self.kappa), alpha=float(al),
-                         B=float(Bc), b=b.as_float(),
-                         sigma=self.sigma.as_float())
+                         b=b.as_float(), sigma=self.sigma.as_float())
 
 
 def enumerate_families(kappa) -> list:
@@ -222,10 +220,8 @@ def roundtrip_residual(spec: FamilySpec, alpha, B) -> Fraction:
 class HarmonicU:
     """Harmonic observable u(z) = Im[sum c_j log(z - rho_j) + d z] + const.
 
-    Purely imaginary coefficients c_j encode log|z - rho_j| terms.  The
-    holomorphic completion F with u = Im F + const is exposed through
-    holo_prime and holo_second; mu is the additive log-derivative order of
-    the associated flow observable.
+    Purely imaginary coefficients c_j encode log|z - rho_j| terms; mu is the
+    additive log-derivative order of the associated flow observable.
     """
 
     log_terms: tuple  # ((rho, coef), ...)
@@ -241,20 +237,6 @@ class HarmonicU:
         total = total + self.lin_coef * np.imag(z)
         return total if total.shape else float(total)
 
-    def holo_prime(self, z):
-        z = np.asarray(z, dtype=complex)
-        total = np.full(z.shape, self.lin_coef, dtype=complex)
-        for rho, c in self.log_terms:
-            total = total + c / (z - rho)
-        return total if total.shape else complex(total)
-
-    def holo_second(self, z):
-        z = np.asarray(z, dtype=complex)
-        total = np.zeros(z.shape, dtype=complex)
-        for rho, c in self.log_terms:
-            total = total - c / (z - rho) ** 2
-        return total if total.shape else complex(total)
-
 
 def build_u(model: FlowModel) -> HarmonicU:
     """The harmonic observable of a coupled flow, by partial fractions.
@@ -264,55 +246,82 @@ def build_u(model: FlowModel) -> HarmonicU:
     coefficients are its residues.  Every row of FAMILIES has
     sigma(z) = -(1 + s1 z^2): no zero for s1 = 0, else the zeros -+r for
     s1 < 0 and +-ir for s1 > 0, r = |s1|^(-1/2).  At each zero
-    rho sigma'(rho) = 2, so its residue is -a (2 + alpha rho)/2 + 2 bb; at +ir
-    only the imaginary part is kept, since radial6-drift lives at kappa = 6,
-    where 2 bb = a and the real part is round-off.
+    rho sigma'(rho) = 2 and 2 bb = a (kappa/2 - 2), so its residue is a times
+    kappa/2 - 3 - alpha rho/2, whose real and imaginary parts are computed
+    exactly: a residue is left out exactly when both are 0.
     """
-    a, bb, alpha, s1 = model.a, model.bb, model.alpha, model.sigma.c2
+    a, alpha, s1 = model.a, model.alpha, model.sigma.c2
     zeros = ()
     if s1:
         r = abs(s1) ** -0.5
-        zeros = (-r, r) if s1 < 0 else (1j * r, -1j * r)
+        zeros = (complex(-r), complex(r)) if s1 < 0 else (1j * r, -1j * r)
     # residue at 0 of -a(2 + alpha z)/(z sigma): -2a / sigma(0) = 2a
     terms = [(0j, complex(2.0 * a))]
+    k, al = Fraction(model.kappa), Fraction(alpha)
     for rho in zeros:
-        c = -a * (2.0 + alpha * rho) / 2.0 + 2.0 * bb
-        if rho.imag > 0:
-            c = 1j * c.imag
-        if abs(c) > 1e-12:
-            terms.append((complex(rho), complex(c)))
+        re = k / 2 - 3 - al * Fraction(rho.real) / 2
+        im = -al * Fraction(rho.imag) / 2
+        if re or im:
+            terms.append((rho, complex(a * float(re), a * float(im))))
     # arg conventions of the closed forms: a term written as arg(x0 - z) for a
     # positive real root x0 equals arg(z - x0) - pi on the upper half-plane
     const = -math.pi * sum(c.real for rho, c in terms if rho.real > 0)
     return HarmonicU(log_terms=tuple(terms), lin_coef=0.0 if zeros else alpha * a,
-                     const=const, mu=-2.0 * bb)
+                     const=const, mu=-2.0 * model.bb)
 
 
-def check_annihilation(model: FlowModel, samples: Sequence[complex]) -> float:
-    """Largest residual of (-L_b + (kappa/2) L_sigma^2) u over the samples,
-    for u = build_u(model).  L_v u = Im[v F' + mu v'] in additive order mu;
-    L_sigma u is a scalar field, so L_sigma^2 u = Im[sigma (sigma F' + mu sigma')']."""
+def _exact_fields(spec: FamilySpec, alpha, B, samples):
+    """The checked samples, the family's kappa, alpha and B, and z, z b(z),
+    z^2 b'(z) and sigma(z) as polynomials with Fraction coefficients."""
+    from numpy.polynomial import Polynomial  # only the identity checks need it
     z = np.asarray(samples, dtype=complex)
     require_upper_half_plane(z)
-    u, b, s = build_u(model), model.b, model.sigma
-    lie_b = np.imag(eval_field(b, z) * u.holo_prime(z) + u.mu * eval_field_prime(b, z))
-    g_prime = (eval_field_prime(s, z) * u.holo_prime(z)
-               + eval_field(s, z) * u.holo_second(z) + u.mu * s.second(z))
-    res = -lie_b + 0.5 * model.kappa * np.imag(eval_field(s, z) * g_prime)
-    return float(np.max(np.abs(res)))
+    b, al, Bc = spec.coefficients(alpha, B)
+    poly = lambda *cs: Polynomial([Fraction(c) for c in cs])  # noqa: E731
+    return (z, spec.kappa, al, Bc, poly(0, 1), poly(-2, -b.c1, -b.c2, -b.c3),
+            poly(2, 0, -b.c2, -2 * b.c3), poly(-1, -spec.sigma.c1, -spec.sigma.c2))
 
 
-def check_bsigma(model: FlowModel, samples: Sequence[complex]) -> float:
-    """Largest residual of the b-sigma compatibility relation over samples
-    in the open upper half-plane, where z (alpha z + 2) has no zero."""
-    z = np.asarray(samples, dtype=complex)
-    require_upper_half_plane(z)
-    k, B = model.kappa, model.B
-    b = eval_field(model.b, z)
-    s = eval_field(model.sigma, z)
-    bp = eval_field_prime(model.b, z)
-    sp = eval_field_prime(model.sigma, z)
-    # bb*sqrt(2 kappa) = kappa/2 - 2 exactly
-    num = -k * s * s - B * z * z * s - (k / 2.0 - 2.0) * z * z * (bp * s - b * sp)
-    res = np.abs(b - num / (z * (model.alpha * z + 2.0)))
-    return float(np.max(res))
+def _d(p):
+    # Polynomial.deriv would turn the Fractions into floats
+    return type(p)([i * c for i, c in enumerate(p.coef)][1:] or [Fraction(0)])
+
+
+def _at(p, z):
+    """p(z) in floats, read once p has cancelled exactly."""
+    return np.polyval(p.coef[::-1].astype(float), z)
+
+
+def check_annihilation(spec: FamilySpec, alpha, B,
+                       samples: Sequence[complex]) -> float:
+    """Largest residual of (-L_b + (kappa/2) L_sigma^2) u over samples in the
+    open upper half-plane, for the family's u: L_v u = Im[v F' + mu v'] in
+    additive order mu, and L_sigma^2 u = Im[sigma (sigma F' + mu sigma')'].
+
+    With s = sqrt(2 kappa), a = s/kappa and bb = s (1/4 - 1/kappa), so
+    F' = s p/(z sigma), mu = s mu^ and the operator is s Im[N/(z^2 sigma)],
+    for exact polynomials p and N.  Annihilation says N = C z^2 sigma, C real:
+    the residual is s |Im R/(z^2 sigma)| for R = N - C z^2 sigma, where C
+    cancels N at the top power of z^2 sigma."""
+    z, k, al, _, x, zb, z2bp, sig = _exact_fields(spec, alpha, B, samples)
+    bbh = Fraction(1, 4) - 1 / k
+    mu, sp, zs = -2 * bbh, _d(sig), x * sig
+    p = -(2 + al * x) * (1 / k) + 2 * bbh * x * sp
+    lie_sigma2 = zs * sp * p + sig * (zs * _d(p) - p * _d(zs)) + mu * _d(sp) * zs * zs
+    n = k / 2 * lie_sigma2 - zb * p - mu * z2bp * sig
+    z2s = (x * zs).trim()
+    top = z2s.degree()
+    c = n.coef[top] / z2s.coef[top] if n.degree() >= top else 0
+    res = np.imag(_at(n - c * z2s, z) / _at(z2s, z))
+    return math.sqrt(2 * float(k)) * float(np.max(np.abs(res)))
+
+
+def check_bsigma(spec: FamilySpec, alpha, B, samples: Sequence[complex]) -> float:
+    """Largest |b - num/(z (alpha z + 2))| over samples in the open upper
+    half-plane, where z (alpha z + 2) has no zero, with
+    num = -kappa sigma^2 - B z^2 sigma - (kappa/2 - 2) z^2 (b' sigma - b sigma')
+    and bb sqrt(2 kappa) = kappa/2 - 2.  Its numerator is formed exactly."""
+    z, k, al, Bc, x, zb, z2bp, sig = _exact_fields(spec, alpha, B, samples)
+    lin, cross = al * x + 2, z2bp * sig - x * zb * _d(sig)
+    num = -k * sig * sig - Bc * x * x * sig - (k / 2 - 2) * cross
+    return float(np.max(np.abs(_at(zb * lin - num, z) / _at(x * lin, z))))

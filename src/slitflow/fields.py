@@ -45,6 +45,8 @@ class FieldCoeffs:
             return (self.c1, self.c2, self.c3)
         return (self.c1, self.c2)
 
+    # nothing in src/ calls this; the benchmark tracer (perfbench/spans.py)
+    # wraps it, and ROADMAP item 4 deletes both, as it does flow.py's aliases
     def second(self, z):
         """Second derivative at z; a sigma-field's is the constant -2 sigma_1."""
         if self.kind == "b":

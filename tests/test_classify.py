@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slitflow import classify
 from slitflow.classify import (
     IDENTITY_TOL,
     build_u,
@@ -142,17 +143,81 @@ SAMPLE_POINTS = (
 @pytest.mark.parametrize("kappa", [3.0, 4.0, 6.0])
 def test_generator_annihilates_u(kappa):
     for spec in enumerate_families(kappa):
-        model = spec.instantiate(0.3, 0.2 * math.sqrt(kappa))
-        res = check_annihilation(model, SAMPLE_POINTS)
+        res = check_annihilation(spec, 0.3, 0.2 * math.sqrt(kappa), SAMPLE_POINTS)
         assert res < IDENTITY_TOL, (spec.name, res)
 
 
 @pytest.mark.parametrize("kappa", [3.0, 4.0, 6.0])
 def test_bsigma_consistency(kappa):
     for spec in enumerate_families(kappa):
-        model = spec.instantiate(0.3, 0.2 * math.sqrt(kappa))
-        res = check_bsigma(model, SAMPLE_POINTS)
+        res = check_bsigma(spec, 0.3, 0.2 * math.sqrt(kappa), SAMPLE_POINTS)
         assert res < IDENTITY_TOL, (spec.name, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.floats(-300, 300).map(lambda e: 10.0 ** e),
+    alpha=st.floats(allow_nan=False, allow_infinity=False),
+    B=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_identity_checks_read_exactly_zero_at_any_kappa(kappa, alpha, B):
+    # both residual numerators cancel in Fractions before any float is read,
+    # so a right family reads 0.0, not round-off of size kappa^(3/2) eps
+    for spec in enumerate_families(kappa):
+        try:
+            spec.coefficients(alpha, B)
+        except InputError:
+            continue
+        assert check_annihilation(spec, alpha, B, SAMPLE_POINTS) == 0.0, spec.name
+        assert check_bsigma(spec, alpha, B, SAMPLE_POINTS) == 0.0, spec.name
+
+
+def _float_residuals(spec, alpha, z):
+    """The float-arithmetic annihilation and b-sigma residuals that the
+    identity checks computed before they went exact: u's completion F from
+    its residues, and every field evaluated in floats at the samples."""
+    m = spec.instantiate(alpha, None)
+    B = float(spec.coefficients(alpha, None)[2])
+    k, a, bb, b, s = m.kappa, m.a, m.bb, m.b, m.sigma
+    u = build_u(m)
+    f1 = sum(c / (z - rho) for rho, c in u.log_terms) + u.lin_coef
+    f2 = sum(-c / (z - rho) ** 2 for rho, c in u.log_terms)
+    bz = -(2 / z + b.c1 + b.c2 * z + b.c3 * z * z)
+    bp = 2 / (z * z) - b.c2 - 2 * b.c3 * z
+    sz, sp, spp = -(1 + s.c1 * z + s.c2 * z * z), -s.c1 - 2 * s.c2 * z, -2 * s.c2
+    lie_b = np.imag(bz * f1 + u.mu * bp)
+    ann = -lie_b + 0.5 * k * np.imag(sz * (sp * f1 + sz * f2 + u.mu * spp))
+    num = -k * sz * sz - B * z * z * sz - (k / 2 - 2) * z * z * (bp * sz - bz * sp)
+    bsig = bz - num / (z * (m.alpha * z + 2))
+    return np.max(np.abs(ann)), np.max(np.abs(bsig))
+
+
+def test_identity_checks_still_see_a_wrong_family(monkeypatch):
+    # dipolar-drift with b_0 moved off its rule by 1e-12: both exact checks
+    # read the size of residual that float arithmetic reads, which carries
+    # round-off near 1e-16 (B = alpha^2 - 1 is rounded, as are a and bb) and
+    # so matches to ~1e-4; the first variation in b_0 matches tightly.
+    # Moving b_0 by d moves b by -d z, so the annihilation residual is
+    # d |Im z F'| and the b-sigma one d |z + (kappa/2 - 2) z (sigma - z
+    # sigma')/(alpha z + 2)|
+    d = Fraction(1, 10 ** 12)
+    monkeypatch.setitem(classify.FAMILIES, "dipolar-drift", (
+        Fraction(-1, 4), "alpha",
+        lambda k, a: ((-a, Fraction(-1, 2) + d, a / 4), a, a * a - 1)))
+    kappa, z, al = 6.0, SAMPLE_POINTS, 0.3
+    spec = _families(kappa)["dipolar-drift"]
+    ann = check_annihilation(spec, al, None, z)
+    bsig = check_bsigma(spec, al, None, z)
+    assert ann > 0 and bsig > 0
+    ref_ann, ref_bsig = _float_residuals(spec, al, z)
+    assert ann == pytest.approx(ref_ann, rel=1e-3)
+    assert bsig == pytest.approx(ref_bsig, rel=1e-3)
+    u = build_u(spec.instantiate(al, None))
+    zf1 = sum(c * z / (z - rho) for rho, c in u.log_terms)
+    sz, sp = -(1 - z * z / 4), z / 2
+    assert ann == pytest.approx(float(d) * np.max(np.abs(np.imag(zf1))), rel=1e-9)
+    first_bsig = z + (kappa / 2 - 2) * z * (sz - z * sp) / (al * z + 2)
+    assert bsig == pytest.approx(float(d) * np.max(np.abs(first_bsig)), rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,25 +248,28 @@ def test_u_value_matches_closed_form_chordal():
 @pytest.mark.parametrize("p", [0.3, -1.0])
 def test_build_u_residues_match_their_closed_forms(kappa, p):
     # sigma = -(1 + s1 z^2) has zeros -+2 (s1 = -1/4) or +-2i (s1 = 1/4); the
-    # residues of -a (2 + alpha z)/(z sigma) + 2 bb sigma'/sigma, with
-    # the real part at 2i dropped and |c| <= 1e-12 left out.  An alpha-family
-    # reads p as alpha, a beta-family as B
+    # residues of -a (2 + alpha z)/(z sigma) + 2 bb sigma'/sigma are a times
+    # 2 at 0 and a times kappa/2 - 3 - alpha rho/2 at each zero, and a residue
+    # that is exactly 0 is left out.  An alpha-family reads p as alpha, a
+    # beta-family as B
     for spec in enumerate_families(kappa):
         m = spec.instantiate(p, p)
         a, bb, al, s1 = m.a, m.bb, m.alpha, m.sigma.c2
-        expected = {0j: 2 * a}
-        if s1 < 0:
-            expected.update({-2 + 0j: 2 * bb - a + a * al,
-                             2 + 0j: 2 * bb - a - a * al})
-        elif s1 > 0:
-            expected.update({2j: -1j * a * al, -2j: 2 * bb - a + 1j * a * al})
-        expected = {rho: c for rho, c in expected.items() if abs(c) > 1e-12}
+        zeros = (-2 + 0j, 2 + 0j) if s1 < 0 else (2j, -2j) if s1 > 0 else ()
+        k, x = Fraction(kappa), Fraction(al)
+        kept = {rho for rho in zeros
+                if k / 2 - 3 - x * Fraction(rho.real) / 2 or x * Fraction(rho.imag)}
         u = build_u(m)
         got = dict(u.log_terms)
-        assert got.keys() == expected.keys(), spec.name
-        for rho, c in expected.items():
-            assert got[rho] == pytest.approx(c, rel=1e-12, abs=1e-15), \
-                (spec.name, rho)
+        assert got.keys() == {0j} | kept, spec.name
+        assert got[0j] == 2 * a
+        for rho in kept:
+            assert got[rho] == pytest.approx(-a * (2 + al * rho) / 2 + 2 * bb,
+                                             rel=1e-12, abs=1e-15), (spec.name, rho)
+            if s1 > 0:  # radial6-drift, kappa = 6: 2 bb - a is 0 exactly
+                assert got[rho].real == 0.0 and got[rho].imag == -a * al * rho.imag / 2
+        if spec.name == "dipolar-drift" and kappa == 6:
+            assert got[2 + 0j] == -got[-2 + 0j]  # a (-+alpha), with no round-off
         c2 = 2 * bb - a - a * al if s1 < 0 else 0.0
         assert u.const == pytest.approx(-math.pi * c2, rel=1e-12, abs=1e-14)
         assert u.lin_coef == (al * a if s1 == 0 else 0.0)
@@ -211,6 +279,6 @@ def test_build_u_residues_match_their_closed_forms(kappa, p):
 @pytest.mark.parametrize("check", [check_annihilation, check_bsigma])
 @pytest.mark.parametrize("z", [1.0 + 0j, 0.5 - 0.2j, complex(math.nan, 1.0)])
 def test_identity_checks_refuse_samples_off_the_upper_half_plane(check, z):
-    model = _families(4.0)["chordal-drift"].instantiate(0.3, None)
+    spec = _families(4.0)["chordal-drift"]
     with pytest.raises(InputError, match="not in the open upper half-plane"):
-        check(model, [1j, z])
+        check(spec, 0.3, None, [1j, z])

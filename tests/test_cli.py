@@ -91,9 +91,9 @@ def test_check_identities_checks_beta_families_at_catalogue_b(monkeypatch,
     seen = []
     check_bsigma = cli.check_bsigma
 
-    def record(model, samples):
-        seen.append(model.B)
-        return check_bsigma(model, samples)
+    def record(spec, alpha, B, samples):
+        seen.append(B)
+        return check_bsigma(spec, alpha, B, samples)
 
     monkeypatch.setattr(cli, "check_bsigma", record)
     rc = main(["check-identities", "--kappa", "3", "--seed", "1",
@@ -357,6 +357,18 @@ def test_check_identities_exits_zero(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "lie_b_green" in out
+
+
+@pytest.mark.parametrize("kappa", ["1e5", "1e6", "1e9"])
+def test_check_identities_passes_at_large_kappa(kappa, capsys):
+    # the identity residuals cancel exactly before any float is read, so
+    # terms of size kappa^(3/2) leave no round-off against IDENTITY_TOL
+    rc = main(["check-identities", "--kappa", kappa, "--alpha", "0.3",
+               "--seed", "1", "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rc == 0
+    exact = [r for r in rows if r["check"].startswith(("annihilation-", "bsigma-"))]
+    assert len(exact) == 10 and all(r["value"] == 0 for r in exact), exact
 
 
 def test_check_identities_writes_note_rows_for_degenerate_families(capsys):
