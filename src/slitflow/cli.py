@@ -245,16 +245,16 @@ def _cmd_simulate(cfg):
     pts = [_parse_complex(s) for s in cfg["z"]]
     res = simulate_ensemble(model, pts, cfg["n_paths"], cfg["T"], cfg["dt"],
                             seed)
-    rows = []
-    for i in range(res.w.shape[0]):
-        for j, z in enumerate(res.points):
-            rows.append({
-                "path": i, "z_re": z.real, "z_im": z.imag,
-                "w_re": res.w[i, j].real, "w_im": res.w[i, j].imag,
-                "log_wp_re": res.log_wp[i, j].real,
-                "log_wp_im": res.log_wp[i, j].imag,
-                "alive": bool(res.alive[i, j]),
-            })
+    # Python floats and bools column by column: one conversion per array
+    # instead of one numpy scalar per cell
+    z_re, z_im = res.points.real.tolist(), res.points.imag.tolist()
+    cols = (res.w.real.tolist(), res.w.imag.tolist(), res.log_wp.real.tolist(),
+            res.log_wp.imag.tolist(), res.alive.tolist())
+    rows = [{"path": i, "z_re": z_re[j], "z_im": z_im[j], "w_re": w_re[j],
+             "w_im": w_im[j], "log_wp_re": lr[j], "log_wp_im": li[j],
+             "alive": alive[j]}
+            for i, (w_re, w_im, lr, li, alive) in enumerate(zip(*cols))
+            for j in range(len(z_re))]
     return rows, True
 
 

@@ -3,8 +3,8 @@
 Driving paths, one adaptive RK4 segment integrator for the chordal Loewner
 maps g_t that serves both their forward solution and their inverses (the
 same equation run backward in time), and the vectorized
-Euler-Maruyama ensemble for the general flow SDE with derivative tracking
-through log w'.  The ensemble folds the Ito drifts of (w, log w')
+Euler-Maruyama ensemble for the general flow SDE with optional derivative
+tracking through log w'.  The ensemble folds the Ito drifts of (w, log w')
 into one fixed Laurent polynomial each per model and steps the real and
 imaginary parts of the state in place.  It is cache-blocked: steps run in
 blocks of STEP_BLOCK with one noise draw per block, and within a block
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -148,7 +149,8 @@ class EnsembleResult:
 
     points: np.ndarray       # (P,) seed points
     w: np.ndarray            # (n_paths, P) terminal map values
-    log_wp: np.ndarray       # (n_paths, P) terminal log-derivatives
+    log_wp: Optional[np.ndarray]  # (n_paths, P) terminal log-derivatives,
+                                  # None when they were not tracked
     alive: np.ndarray        # (n_paths, P) False where frozen before T
 
 
@@ -191,10 +193,11 @@ def _add_poly(terms, db, x, y, out_re, out_im, re, im, t1, t2) -> None:
 
 
 def _read_only(arrays) -> tuple:
-    """Views of the arrays that cannot be written through."""
-    views = tuple(v.view() for v in arrays)
+    """Views of the arrays that cannot be written through; None stays None."""
+    views = tuple(None if v is None else v.view() for v in arrays)
     for v in views:
-        v.flags.writeable = False
+        if v is not None:
+            v.flags.writeable = False
     return views
 
 
@@ -205,7 +208,8 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
-                      rng, callback=None) -> EnsembleResult:
+                      rng, callback=None, *,
+                      track_log_wp: bool = True) -> EnsembleResult:
     """Euler-Maruyama ensemble of the flow SDE in Ito form.
 
     With b = -(2/w + b_{-1} + b_0 w + b_1 w^2), sigma = -(1 + s_0 w + s_1 w^2)
@@ -250,6 +254,10 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     (InputError otherwise); a path that leaves that radius later is a
     NumericalError.  ``rng`` is a seed, a SeedSequence or a Generator, as
     np.random.default_rng takes it.
+
+    With ``track_log_wp=False`` the log w' stages and commits are skipped:
+    w and alive are the same bits, log_wp is None, and so are the callback's
+    lr and li.
     """
     n_steps = _n_steps(T, dt)
     rng = np.random.default_rng(rng)
@@ -270,9 +278,11 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     if np.any(np.abs(pts) >= R_MAX):
         raise InputError(f"seed points must lie within |z| < R_MAX = {R_MAX:g}")
     shape = (n_paths, pts.size)
-    # the state (x, y, lr, li, alive) over all paths
+    # the state (x, y, lr, li, alive) over all paths; lr and li are None
+    # when log w' is not tracked
+    lr, li = (np.zeros(shape), np.zeros(shape)) if track_log_wp else (None, None)
     state = (np.tile(pts.real, (n_paths, 1)), np.tile(pts.imag, (n_paths, 1)),
-             np.zeros(shape), np.zeros(shape), np.ones(shape, dtype=bool))
+             lr, li, np.ones(shape, dtype=bool))
     rows = max(8, TILE_BYTES // (8 * max(pts.size, 1)) // 8 * 8)
     scratch = [np.empty((min(rows, n_paths), pts.size)) for _ in range(8)]
     # per tile: its rows, writable views of their state, read-only views of
@@ -280,7 +290,7 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
     tiles = []
     for r0 in range(0, n_paths, rows):
         sl = slice(r0, min(r0 + rows, n_paths))
-        views = [v[sl] for v in state]
+        views = [None if v is None else v[sl] for v in state]
         tiles.append((sl, views, _read_only(views),
                       [v[:sl.stop - sl.start] for v in scratch]))
     freeze_r2 = max(EPS_SWALLOW, math.sqrt(dt / C_SING)) ** 2
@@ -300,20 +310,22 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
                 np.multiply(y, y, out=b)
                 np.add(a, b, out=c)
                 np.divide(2.0 * dt, c, out=d)
-                np.divide(d, c, out=c)
-                a -= b
-                np.multiply(c, a, out=lrn)
-                np.subtract(lr, lrn, out=lrn)
-                np.multiply(x, y, out=lin)
-                lin *= c
-                lin *= 2.0
-                lin += li
+                if track_log_wp:
+                    np.divide(d, c, out=c)
+                    a -= b
+                    np.multiply(c, a, out=lrn)
+                    np.subtract(lr, lrn, out=lrn)
+                    np.multiply(x, y, out=lin)
+                    lin *= c
+                    lin *= 2.0
+                    lin += li
                 np.multiply(d, x, out=xn)
                 xn += x
                 np.multiply(d, y, out=yn)
                 np.subtract(y, yn, out=yn)
                 _add_poly(w_terms, db, x, y, xn, yn, a, b, c, d)
-                _add_poly(l_terms, db, x, y, lrn, lin, a, b, c, d)
+                if track_log_wp:
+                    _add_poly(l_terms, db, x, y, lrn, lin, a, b, c, d)
                 np.multiply(xn, xn, out=a)
                 np.multiply(yn, yn, out=b)
                 a += b
@@ -329,10 +341,12 @@ def simulate_ensemble(model, points, n_paths: int, T: float, dt: float,
                         "ensemble trajectory left the safe radius")
                 np.copyto(x, xn, where=keep)
                 np.copyto(y, yn, where=keep)
-                np.copyto(lr, lrn, where=keep)
-                np.copyto(li, lin, where=keep)
+                if track_log_wp:
+                    np.copyto(lr, lrn, where=keep)
+                    np.copyto(li, lin, where=keep)
                 if callback is not None:
                     i = i0 + j + 1
                     callback(i, i * dt, sl, *live)
     x, y, lr, li, alive = state
-    return EnsembleResult(pts, _complex(x, y), _complex(lr, li), alive)
+    log_wp = _complex(lr, li) if track_log_wp else None
+    return EnsembleResult(pts, _complex(x, y), log_wp, alive)

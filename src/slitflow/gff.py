@@ -15,9 +15,10 @@ recurrence sin((k+1) theta) = 2 cos(theta) sin(k theta) - sin((k-1) theta),
 whose error grows like k^2 times the float64 epsilon.  A table is built
 as (K, ..., P), so each row of the recurrence is one in-place ufunc over a
 contiguous block of every sample and point, and is read as a (..., K, P)
-view; a field evaluation is one matmul per sample on that view.  The
-coupling runs it on blocks of samples, and its samples do not depend on the
-block size.
+view; a field evaluation and a test function's coefficient box are each
+one matmul per sample on that view.  The coupling takes the energies of its
+pulled-back test functions on blocks of samples, and its samples do not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -200,12 +201,20 @@ class EigenBasis:
             math.pi / self.dom.height * (pts.imag - self.dom.y0), self.n_max)
         return su, sv
 
-    def testfn_coeff_box(self, patch: SupportPatch) -> np.ndarray:
-        """(e_k, p) by mesh quadrature, on the dense frequency box."""
-        su, sv = self.sin_tables(patch.centers)  # (m_max, P), (n_max, P)
-        box = (su * patch.weights) @ sv.T
-        return self.norm * box * self.mask
+    def testfn_coeff_box(self, pts, weights) -> np.ndarray:
+        """(e_k, p) by the quadrature sum_P weights_P e_k(pts_P), on the dense
+        frequency box; points and weights (..., P) give boxes (..., m, n),
+        one matmul per leading index."""
+        su, sv = self.sin_tables(pts)  # (..., m_max, P), (..., n_max, P)
+        su *= np.asarray(weights)[..., None, :]
+        box = su @ np.swapaxes(sv, -1, -2)
+        box *= self.norm
+        box *= self.mask
+        return box
 
+    # nothing in src/ calls this; the tests check the field's law against
+    # energy_spectral with it, and the benchmark tracer (perfbench/spans.py)
+    # wraps it, as it does fields.FieldCoeffs.second
     def field_at_points(self, coeff_box: np.ndarray, pts) -> np.ndarray:
         """Evaluate sum_k c_k e_k at points (..., P), 0 outside the rectangle;
         coeff_box may be batched (..., m, n)."""
@@ -214,10 +223,15 @@ class EigenBasis:
         t *= su
         return self.norm * self.dom.contains(pts) * t.sum(axis=-2)
 
-    def energy_spectral(self, patch: SupportPatch) -> float:
-        """Truncated spectral Dirichlet energy sum_k (4 pi/lambda_k)(e_k, p)^2."""
-        box = self.testfn_coeff_box(patch)
-        return float(np.sum(self.scale_box ** 2 * box ** 2))
+    def energy_spectral(self, pts, weights) -> np.ndarray:
+        """Truncated spectral Dirichlet energy sum_k (4 pi/lambda_k)(e_k, p)^2
+        of testfn_coeff_box's pairing, one value per leading index of
+        (..., P): the variance of the field's pairing with that quadrature.
+        Each value is summed over its own box alone."""
+        box = self.testfn_coeff_box(pts, weights)
+        box *= box
+        box *= self.scale_box ** 2
+        return box.reshape(box.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def eigen_basis(dom: RectDomain) -> EigenBasis:

@@ -279,6 +279,31 @@ def test_ensemble_output_does_not_depend_on_tiling(monkeypatch, geometry,
             assert getattr(res, name).tobytes() == getattr(runs[0], name).tobytes()
 
 
+@pytest.mark.parametrize("geometry, kappa, alpha",
+                         [("chordal", 4.0, 0.0), ("dipolar", 6.0, 0.3)])
+def test_ensemble_without_log_wp_keeps_w_and_alive(monkeypatch, geometry,
+                                                   kappa, alpha):
+    # skipping the log w' stages leaves w and alive byte for byte, in 8-row
+    # tiles that freeze (masked commits) and tiles that do not (plain
+    # copies); log_wp is None, and so are the callback's lr and li
+    model = _family_model(geometry, kappa, alpha)
+    pts = np.concatenate([np.asarray(MARTINGALE_POINTS), [0.05 + 0.08j]])
+    monkeypatch.setattr(flow, "TILE_BYTES", 8 * pts.size * 8)
+    full = simulate_ensemble(model, pts, 37, 0.05, 1e-3, 5)
+    seen = []
+
+    def cb(i, t, rows, x, y, lr, li, alive):
+        seen.append((lr, li))
+
+    bare = simulate_ensemble(model, pts, 37, 0.05, 1e-3, 5, cb,
+                             track_log_wp=False)
+    assert not full.alive.all() and full.alive.any()
+    assert bare.w.tobytes() == full.w.tobytes()
+    assert bare.alive.tobytes() == full.alive.tobytes()
+    assert bare.log_wp is None
+    assert seen and all(v == (None, None) for v in seen)
+
+
 def test_ensemble_tiles_that_freeze_and_tiles_that_never_do(monkeypatch):
     # 8-row tiles over 64 paths of 2 points for 50 steps: a point at
     # distance 0.42 from the pole freezes in some tiles (whose steps then

@@ -35,6 +35,7 @@ from slitflow.observables import (
     VERTEX_TOL,
     _coupling_chunk,
     _family_model,
+    _field_variance,
     _strip_step,
     cardy_zhan,
     chordal_vertex_log,
@@ -344,8 +345,9 @@ def test_coupling_rejects_chunk_sizes_below_one(chunk):
 
 def test_coupling_chunk_blocks_match_one_shot_field():
     # 130 samples cross two block boundaries (64 + 64 + 2); the reference is
-    # one draw, one scaling and one evaluation over the whole chunk, built
-    # from the same seeds as _coupling_chunk spawns them
+    # one variance call over the whole chunk and m normals from the field
+    # seed, built from the same seeds as _coupling_chunk spawns them.  Byte
+    # equality needs every BLAS call to sum within one sample
     m, T, dt, bump = 130, 0.02, 1e-3, Bump(1.5j, 0.3)
     assert FIELD_BLOCK < m and m % FIELD_BLOCK
     dom = RectDomain()
@@ -357,17 +359,48 @@ def test_coupling_chunk_blocks_match_one_shot_field():
     flow_ss, field_ss = np.random.SeedSequence(42).spawn(2)
     res = simulate_ensemble(model, patch.centers, m, T, dt,
                             np.random.default_rng(flow_ss))
-    xi = np.random.default_rng(field_ss).standard_normal(
-        (m,) + basis.scale_box.shape)
-    field = basis.field_at_points(xi * basis.scale_box, res.w) @ patch.weights
-    reference = field + build_u(model).value(res.w) @ patch.weights
+    var = basis.energy_spectral(res.w, patch.weights * dom.contains(res.w))
+    assert var.tobytes() == _field_variance(basis, patch, res.w).tobytes()
+    z = np.random.default_rng(field_ss).standard_normal(m)
+    reference = np.sqrt(var) * z + build_u(model).value(res.w) @ patch.weights
     assert samples.tobytes() == reference.tobytes()
     assert flagged == 0
 
 
+def test_field_variance_is_the_law_of_the_field_pairing_given_the_flow():
+    # given the flow, (h o w, p) is a centred Gaussian with the spectral
+    # energy of the pulled-back pairing as its variance: at three samples of
+    # one chunk, and at a fourth whose right half lies outside the rectangle,
+    # 2000 field draws evaluated at the points match it within 4 se
+    dom = RectDomain()
+    basis = eigen_basis(dom)
+    patch = patch_from_testfn(dom, Bump(1.5j, 0.3))
+    model = _family_model("chordal", 4.0, 0.0)
+    w = simulate_ensemble(model, patch.centers, 3, 0.25, 2.5e-3, 8,
+                          track_log_wp=False).w
+    outside = np.where(patch.centers.real > 0.0, dom.x1 + 1.0 + 1j, w[0])
+    w = np.concatenate([w, outside[None]])
+    var = _field_variance(basis, patch, w)
+    assert var[3] < 0.75 * var[0]
+    n, rng = 2000, np.random.default_rng(9)
+    vals = np.empty((w.shape[0], n))
+    for s in range(0, n, 100):
+        coeff = rng.standard_normal((100,) + basis.scale_box.shape)
+        coeff *= basis.scale_box
+        for i, row in enumerate(w):
+            vals[i, s:s + 100] = basis.field_at_points(coeff, row) @ patch.weights
+    se = var * math.sqrt(2.0 / (n - 1))
+    assert np.all(np.abs(vals.var(axis=1, ddof=1) - var) < 4.0 * se)
+    # at the identity map it is the energy of p itself, criterion 7's target
+    at_id = _field_variance(basis, patch, patch.centers[None])[0]
+    assert at_id == pytest.approx(
+        float(basis.energy_spectral(patch.centers, patch.weights)), rel=1e-13)
+
+
 def test_coupling_chunk_memory_is_bounded_by_the_block():
-    # the sine tables are held one block at a time: about 26 MB here, where
-    # every sample's tables at once would take 177 MB
+    # the sine tables are held one block at a time: 15.8 MB here (24.9 MB
+    # when the field was drawn and evaluated), where every sample's tables
+    # at once would take 177 MB
     dom = RectDomain()
     model = _family_model("chordal", 4.0, 0.0)
     job = (np.random.SeedSequence(3), 500, 0.05, 1e-3, model, eigen_basis(dom),
@@ -378,4 +411,14 @@ def test_coupling_chunk_memory_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6, peak
+    assert peak < 40e6 and peak < 18e6, peak
+
+
+def test_run_coupling_bytes_match_across_a_real_process_pool():
+    # criterion 9's gff-couple case is one chunk, so its pool never starts;
+    # here three chunks go through a real process pool of two workers
+    kw = dict(n_samples=60, T=0.01, dt=1e-3, seed=4, chunk=20)
+    serial = run_coupling(threads=1, **kw)
+    pooled = run_coupling(threads=2, **kw)
+    assert pooled.samples.tobytes() == serial.samples.tobytes()
+    assert pooled.flagged == serial.flagged
