@@ -16,9 +16,9 @@ whose error grows like k^2 times the float64 epsilon.  A table is built
 as (K, ..., P), so each row of the recurrence is one in-place ufunc over a
 contiguous block of every sample and point, and is read as a (..., K, P)
 view; a field evaluation and a test function's coefficient box are each
-one matmul per sample on that view.  The coupling takes the energies of its
-pulled-back test functions on blocks of samples, and its samples do not
-depend on the block size.
+one matmul per sample on that view.  The coupling pairs its field with the
+coefficient boxes of its pulled-back test functions on blocks of samples,
+and its samples do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -212,8 +212,8 @@ class EigenBasis:
         box *= self.mask
         return box
 
-    # nothing in src/ calls this; the tests check the field's law against
-    # energy_spectral with it, and the benchmark tracer (perfbench/spans.py)
+    # nothing in src/ calls this; the tests check the coupling's field
+    # pairing against it, and the benchmark tracer (perfbench/spans.py)
     # wraps it, as it does fields.FieldCoeffs.second
     def field_at_points(self, coeff_box: np.ndarray, pts) -> np.ndarray:
         """Evaluate sum_k c_k e_k at points (..., P), 0 outside the rectangle;

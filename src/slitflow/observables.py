@@ -33,7 +33,7 @@ FLAT_RE = 4.0  # cardy_zhan steps are dt for |Re Z| <= FLAT_RE, e-fold beyond
 H_MAX = 0.05  # cap on those longer steps; a dt above it is kept as it is
 VERTEX_TOL = 0.95  # a stop with no exit probability above this is ambiguous
 X_FINITE = 700.0  # cardy_zhan's drift and step read Re Z clipped to this
-FIELD_BLOCK = 64  # run_coupling takes the field variances in blocks of samples
+FIELD_BLOCK = 64  # run_coupling draws and pairs the field in these blocks
 _CAUCHY_ROOTS = np.exp(2j * np.pi * np.arange(64) / 64)  # _cauchy_derivative's nodes
 
 
@@ -474,29 +474,33 @@ class CouplingResult:
         return self.mean_pass and self.var_pass and self.ks_pass
 
 
-def _field_variance(basis, patch, w) -> np.ndarray:
-    """Var((h o w, p) | w) per row of the pulled-back points w (m, P).
+def _field_pairing(basis, patch, w, rng) -> np.ndarray:
+    """(h o w, p) per row of the pulled-back points w (m, P), h drawn from rng.
 
-    Given the flow, the field's pairing is a centred Gaussian whose variance
-    is the spectral energy of the quadrature that puts patch.weights at
-    w and 0 at points outside the rectangle, where the field vanishes.  It
-    is computed FIELD_BLOCK rows at a time, each row from its own box, so
-    the values do not depend on the block size.
+    By Parseval the pairing is sum_k xi_k scale_k (e_k, p o w): the field's
+    normal coefficients times the coefficient box of the quadrature that
+    puts patch.weights at w and 0 at points outside the rectangle, where
+    the field vanishes (testfn_coeff_box, which energy_spectral and so
+    var_target also read).  It is computed FIELD_BLOCK rows at a time; a
+    block's coefficients are the next draws of rng and each sum runs over
+    one row, so the values do not depend on the block size.
     """
-    var = np.empty(w.shape[0])
+    out = np.empty(w.shape[0])
     for s in range(0, w.shape[0], FIELD_BLOCK):
         wb = w[s:s + FIELD_BLOCK]
-        var[s:s + FIELD_BLOCK] = basis.energy_spectral(
-            wb, patch.weights * basis.dom.contains(wb))
-    return var
+        box = basis.testfn_coeff_box(wb, patch.weights * basis.dom.contains(wb))
+        box *= basis.scale_box
+        box *= rng.standard_normal(box.shape)
+        out[s:s + FIELD_BLOCK] = box.reshape(box.shape[0], -1).sum(axis=-1)
+        del box  # not held through the next block's sine tables
+    return out
 
 
 def _coupling_chunk(args):
     """One independently seeded batch of joint flow/field samples.
 
     The model, basis, patch and u are built once per run by run_coupling.
-    The field term of a sample is drawn from its law given the flow: one
-    normal times the square root of _field_variance.
+    The field term of a sample is _field_pairing at its pulled-back points.
     """
     chunk_seed, m, T, dt, model, basis, patch, u = args
     flow_ss, field_ss = chunk_seed.spawn(2)
@@ -505,8 +509,8 @@ def _coupling_chunk(args):
                             track_log_wp=False)
     flagged = int(np.count_nonzero(~res.alive.all(axis=1)))
     u_T = u.value(res.w) @ patch.weights
-    field_part = np.sqrt(_field_variance(basis, patch, res.w))
-    field_part *= np.random.default_rng(field_ss).standard_normal(m)
+    field_part = _field_pairing(basis, patch, res.w,
+                                np.random.default_rng(field_ss))
     return field_part + u_T, flagged
 
 
@@ -516,17 +520,17 @@ def run_coupling(n_samples: int = 5000, T: float = 0.25, dt: float = 2.5e-4,
                  threads: int = 1) -> CouplingResult:
     """Joint flow/field samples of (field o w_T, p) + (u_T, p) at kappa = 4.
 
-    Field and flow use independent seed streams.  Given the flow,
-    (field o w_T, p) is a centred Gaussian whose variance is the spectral
-    energy of the test function pulled back along w_T (Sheffield, PTRF 139,
-    2007), so each sample's field term is one normal scaled by that
-    variance's square root, and no field is drawn or evaluated.  The
-    terminal law has mean (u, p) and variance equal to the spectral energy
-    of p; samples whose support is touched by the hull before time T are
-    flagged (and kept, with the count reported).  Chunks carry independent
-    child seeds and are concatenated in a fixed order, so the result is
-    byte-identical for any pool size.  The sample variance needs at least
-    two samples.
+    Field and flow use independent seed streams.  A sample's field term is
+    the pairing of the field's coefficients with the spectral coefficients
+    of the test function pulled back along w_T, so the field is never
+    evaluated at the mapped points; given the flow it is a centred Gaussian
+    whose variance is the spectral energy of that pulled-back test function
+    (Sheffield, PTRF 139, 2007).  The terminal law has mean (u, p) and
+    variance equal to the spectral energy of p; samples whose support is
+    touched by the hull before time T are flagged (and kept, with the count
+    reported).  Chunks carry independent child seeds and are concatenated
+    in a fixed order, so the result is byte-identical for any pool size.
+    The sample variance needs at least two samples.
     """
     if n_samples < 2:
         raise InputError("run_coupling needs at least 2 samples")

@@ -35,7 +35,7 @@ from slitflow.observables import (
     VERTEX_TOL,
     _coupling_chunk,
     _family_model,
-    _field_variance,
+    _field_pairing,
     _strip_step,
     cardy_zhan,
     chordal_vertex_log,
@@ -345,9 +345,9 @@ def test_coupling_rejects_chunk_sizes_below_one(chunk):
 
 def test_coupling_chunk_blocks_match_one_shot_field():
     # 130 samples cross two block boundaries (64 + 64 + 2); the reference is
-    # one variance call over the whole chunk and m normals from the field
-    # seed, built from the same seeds as _coupling_chunk spawns them.  Byte
-    # equality needs every BLAS call to sum within one sample
+    # one draw and one coefficient box over the whole chunk, built from the
+    # same seeds as _coupling_chunk spawns them.  Byte equality needs every
+    # BLAS call to sum within one sample
     m, T, dt, bump = 130, 0.02, 1e-3, Bump(1.5j, 0.3)
     assert FIELD_BLOCK < m and m % FIELD_BLOCK
     dom = RectDomain()
@@ -359,19 +359,26 @@ def test_coupling_chunk_blocks_match_one_shot_field():
     flow_ss, field_ss = np.random.SeedSequence(42).spawn(2)
     res = simulate_ensemble(model, patch.centers, m, T, dt,
                             np.random.default_rng(flow_ss))
-    var = basis.energy_spectral(res.w, patch.weights * dom.contains(res.w))
-    assert var.tobytes() == _field_variance(basis, patch, res.w).tobytes()
-    z = np.random.default_rng(field_ss).standard_normal(m)
-    reference = np.sqrt(var) * z + build_u(model).value(res.w) @ patch.weights
+    xi = np.random.default_rng(field_ss).standard_normal(
+        (m,) + basis.scale_box.shape)
+    box = basis.testfn_coeff_box(res.w, patch.weights * dom.contains(res.w))
+    box *= basis.scale_box
+    box *= xi
+    u_T = build_u(model).value(res.w) @ patch.weights
+    reference = box.reshape(m, -1).sum(axis=-1) + u_T
     assert samples.tobytes() == reference.tobytes()
     assert flagged == 0
+    # the same draws evaluated as a field at the pulled-back points
+    field = basis.field_at_points(xi * basis.scale_box, res.w) @ patch.weights
+    assert np.allclose(samples, field + u_T, rtol=0.0, atol=1e-13)
 
 
-def test_field_variance_is_the_law_of_the_field_pairing_given_the_flow():
-    # given the flow, (h o w, p) is a centred Gaussian with the spectral
-    # energy of the pulled-back pairing as its variance: at three samples of
-    # one chunk, and at a fourth whose right half lies outside the rectangle,
-    # 2000 field draws evaluated at the points match it within 4 se
+def test_field_pairing_is_the_field_at_the_pulled_back_points():
+    # at three samples of one chunk, and at a fourth whose right half lies
+    # outside the rectangle, each of 2000 draws pairs to the field evaluated
+    # at the points, to round-off; given the flow the pairing is a centred
+    # Gaussian with the spectral energy of the pulled-back test function as
+    # its variance, which 2000 draws match within 4 se
     dom = RectDomain()
     basis = eigen_basis(dom)
     patch = patch_from_testfn(dom, Bump(1.5j, 0.3))
@@ -380,27 +387,27 @@ def test_field_variance_is_the_law_of_the_field_pairing_given_the_flow():
                           track_log_wp=False).w
     outside = np.where(patch.centers.real > 0.0, dom.x1 + 1.0 + 1j, w[0])
     w = np.concatenate([w, outside[None]])
-    var = _field_variance(basis, patch, w)
-    assert var[3] < 0.75 * var[0]
-    n, rng = 2000, np.random.default_rng(9)
-    vals = np.empty((w.shape[0], n))
-    for s in range(0, n, 100):
-        coeff = rng.standard_normal((100,) + basis.scale_box.shape)
+    n = 2000
+    rows = np.repeat(w, n, axis=0)
+    vals = _field_pairing(basis, patch, rows, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    for s in range(0, rows.shape[0], FIELD_BLOCK):
+        wb = rows[s:s + FIELD_BLOCK]
+        coeff = rng.standard_normal((wb.shape[0],) + basis.scale_box.shape)
         coeff *= basis.scale_box
-        for i, row in enumerate(w):
-            vals[i, s:s + 100] = basis.field_at_points(coeff, row) @ patch.weights
+        field = basis.field_at_points(coeff, wb) @ patch.weights
+        assert np.allclose(vals[s:s + FIELD_BLOCK], field, rtol=0.0, atol=1e-13)
+    var = basis.energy_spectral(w, patch.weights * dom.contains(w))
+    assert var[3] < 0.75 * var[0]
     se = var * math.sqrt(2.0 / (n - 1))
-    assert np.all(np.abs(vals.var(axis=1, ddof=1) - var) < 4.0 * se)
-    # at the identity map it is the energy of p itself, criterion 7's target
-    at_id = _field_variance(basis, patch, patch.centers[None])[0]
-    assert at_id == pytest.approx(
-        float(basis.energy_spectral(patch.centers, patch.weights)), rel=1e-13)
+    sample_var = vals.reshape(w.shape[0], n).var(axis=1, ddof=1)
+    assert np.all(np.abs(sample_var - var) < 4.0 * se)
 
 
 def test_coupling_chunk_memory_is_bounded_by_the_block():
     # the sine tables are held one block at a time: 15.8 MB here (24.9 MB
-    # when the field was drawn and evaluated), where every sample's tables
-    # at once would take 177 MB
+    # when the field was evaluated at the mapped points), where every
+    # sample's tables at once would take 177 MB
     dom = RectDomain()
     model = _family_model("chordal", 4.0, 0.0)
     job = (np.random.SeedSequence(3), 500, 0.05, 1e-3, model, eigen_basis(dom),
